@@ -938,23 +938,21 @@ class Cluster:
         }
 
     def replicas_converged(self) -> bool:
-        """True when every replica holds identical live record contents."""
+        """True when every replica holds identical live record contents
+        (compared side-effect free, via ``Database.verify_read``)."""
         primary_ids = self._live_ids(self.primary)
         for name, node in self.nodes():
             if name == "primary":
                 continue
             if primary_ids != self._live_ids(node):
                 return False
-            # Sorted, not set order: the reads below go through the decode
-            # cache, so a hash-randomized visit order would leak into the
-            # exported disk/decode counters from run to run.
+            # Sorted, not set order: a fault injector's page-read hook
+            # fires per payload, so the visit order must not vary with
+            # hash randomization.
             for record_id in sorted(primary_ids):
-                record = self.primary.db.records[record_id]
-                primary_content, _ = self.primary.db.read(
-                    record.database, record_id
-                )
-                secondary_content, _ = node.db.read(record.database, record_id)
-                if primary_content != secondary_content:
+                if self.primary.db.verify_read(record_id) != node.db.verify_read(
+                    record_id
+                ):
                     return False
         return True
 

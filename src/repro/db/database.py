@@ -153,6 +153,24 @@ class Database:
         content, latency = self._materialize(record, charge_foreground=True)
         return content, latency
 
+    def verify_read(self, record_id: str) -> bytes | None:
+        """Client-visible content decoded from stored bytes, side-effect free.
+
+        For verification (invariant sweeps, replica convergence): payloads
+        still pass :meth:`_read_payload`'s checksum and quarantine checks,
+        but the record cache, the simulated disk and the encoding chains
+        are left untouched. None for deleted or missing records.
+
+        Raises:
+            CorruptChain / CorruptPage: where :meth:`read` would.
+        """
+        record = self.records.get(record_id)
+        if record is None or record.deleted:
+            return None
+        if record.pending_updates:
+            return record.pending_updates[-1]
+        return self._decode_chain(record, charge=False)
+
     def update(self, record_id: str, content: bytes) -> float:
         """Replace a record's content (full-record update semantics).
 
@@ -304,6 +322,17 @@ class Database:
         record = self.records.get(record_id)
         if record is None:
             return None
+        try:
+            return self._decode_chain(record, charge=True)
+        except CorruptPage:
+            return None
+
+    def _decode_chain(self, record: StoredRecord, charge: bool) -> bytes:
+        """Decode ``record``'s stored chain down to its raw base.
+
+        Bypasses the record cache and splices nothing; ``charge`` bills
+        each payload read as background disk traffic.
+        """
         chain: list[StoredRecord] = []
         cursor = record
         seen: set[str] = set()
@@ -322,16 +351,14 @@ class Database:
                 )
             cursor = base
         content: bytes | None = None
-        try:
-            for rec in reversed(chain):
-                payload = self._read_payload(rec)
+        for rec in reversed(chain):
+            payload = self._read_payload(rec, charge_reread=charge)
+            if charge:
                 self._charge_read(rec.stored_size, foreground=False)
-                if rec.form is RecordForm.RAW:
-                    content = payload
-                else:
-                    content = apply_delta(content, deserialize(payload))
-        except CorruptPage:
-            return None
+            if rec.form is RecordForm.RAW:
+                content = payload
+            else:
+                content = apply_delta(content, deserialize(payload))
         return content
 
     # -- measurements ------------------------------------------------------------
@@ -519,7 +546,9 @@ class Database:
         self._checksums[record.record_id] = crc32(record.payload)
         self.quarantine.discard(record.record_id)
 
-    def _read_payload(self, record: StoredRecord) -> bytes:
+    def _read_payload(
+        self, record: StoredRecord, charge_reread: bool = True
+    ) -> bytes:
         """A record's payload as read from storage, checksum-verified.
 
         The fault injector may corrupt the returned bytes. A mismatch
@@ -528,6 +557,8 @@ class Database:
         bit flip on the wire) and the clean bytes are returned. If the
         storage copy itself is corrupt, the record is quarantined and the
         read fails — the repair path must restore it from a replica.
+        ``charge_reread=False`` keeps the healing re-read off the disk
+        (verification reads charge nothing).
         """
         payload = record.payload
         if self.fault_injector is not None:
@@ -539,7 +570,8 @@ class Database:
         if crc32(record.payload) == expected:
             # Transient read-path corruption: the re-read heals it.
             self.corrupt_reads_recovered += 1
-            self._charge_read(record.stored_size, foreground=False)
+            if charge_reread:
+                self._charge_read(record.stored_size, foreground=False)
             return record.payload
         self.quarantine.add(record.record_id)
         raise CorruptPage(record.record_id)

@@ -262,7 +262,7 @@ def _check_decodes(db: Database, node: str, report: InvariantReport) -> None:
         if record is None or record.deleted:
             continue
         try:
-            content, _ = db.read(record.database, record_id)
+            content = db.verify_read(record_id)
         except (CorruptChain, CorruptPage, DatabaseError) as fault:
             report.add(node, "decode", f"read failed: {fault}", record_id)
             continue
@@ -354,7 +354,7 @@ def _check_oplog_ground_truth(
     report.oplog_checked = True
     replayed, _ = replay_oplog(oplog.entries())
     live = {
-        record_id: record
+        record_id
         for record_id, record in db.records.items()
         if not record.deleted
     }
@@ -363,20 +363,19 @@ def _check_oplog_ground_truth(
         for record_id, record in replayed.records.items()
         if not record.deleted
     }
-    for record_id in sorted(set(live) - replayed_live):
+    for record_id in sorted(live - replayed_live):
         report.add(
             node, "oplog", "live record absent from oplog replay", record_id
         )
-    for record_id in sorted(replayed_live - set(live)):
+    for record_id in sorted(replayed_live - live):
         report.add(
             node, "oplog", "oplog replay yields record the store lost",
             record_id,
         )
-    for record_id in sorted(replayed_live & set(live)):
-        record = live[record_id]
-        expected, _ = replayed.read(record.database, record_id)
+    for record_id in sorted(replayed_live & live):
+        expected = replayed.verify_read(record_id)
         try:
-            actual, _ = db.read(record.database, record_id)
+            actual = db.verify_read(record_id)
         except (CorruptChain, CorruptPage, DatabaseError):
             continue  # already reported by the decode check
         if actual != expected:
@@ -690,10 +689,9 @@ def _check_convergence(cluster, report: InvariantReport) -> None:
             report.add(node, "convergence", "record absent on primary",
                        record_id)
         for record_id in sorted(primary_live & secondary_live):
-            record = primary_db.records[record_id]
             try:
-                expected, _ = primary_db.read(record.database, record_id)
-                actual, _ = secondary.db.read(record.database, record_id)
+                expected = primary_db.verify_read(record_id)
+                actual = secondary.db.verify_read(record_id)
             except (CorruptChain, CorruptPage, DatabaseError):
                 continue  # reported by the per-node checks
             if expected != actual:

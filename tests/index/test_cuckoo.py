@@ -1,5 +1,7 @@
 """Cuckoo feature index: lookup/insert semantics, LRU, memory accounting."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,3 +141,33 @@ class TestChecksumBehaviour:
         )
         # All found while capacity is ample.
         assert found == len(features)
+
+
+class TestSparseFootprint:
+    """Process memory and removal cost track entries, not geometry."""
+
+    def test_construction_allocates_no_buckets(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = CuckooFeatureIndex(num_buckets=1 << 20)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index) == 0
+        assert allocated < 64 * 1024
+
+    def test_remove_record_independent_of_bucket_count(self):
+        small = CuckooFeatureIndex(num_buckets=1 << 4, slots_per_bucket=64)
+        large = CuckooFeatureIndex(num_buckets=1 << 20, slots_per_bucket=64)
+        for index in (small, large):
+            for feature in range(200):
+                index.insert(feature * 7919, f"r{feature % 10}")
+        assert len(small) == len(large) == 200
+        for record in [f"r{n}" for n in range(10)] + ["absent"]:
+            removed = small.remove_record(record)
+            assert removed == large.remove_record(record)
+            assert removed == (0 if record == "absent" else 20)
+            assert small.record_ids() == large.record_ids()
+        assert len(small) == len(large) == 0
+        assert large._buckets == {} and large._by_record == {}
