@@ -197,7 +197,7 @@ class DedupEngine:
         self.pipeline = build_default_pipeline(
             self, observers=[StageStatsObserver(self.stats), *observers]
         )
-        self._install_collectors()
+        self.registry.bind("engine", self._collectors)
 
     # -- convenience views -----------------------------------------------------
 
@@ -243,32 +243,34 @@ class DedupEngine:
             self.database_stats[database] = stats
         return stats
 
-    def _install_collectors(self) -> None:
+    def _collectors(self):
         """Export component-native counters through the shared registry.
 
         Caches and index partitions keep counting in their own plain
         attributes (zero registry cost on their hot paths); these lazy
         collectors read them out at snapshot time. Index families are
         labeled by database because partitions come and go with the
-        governor.
+        governor. Bound to the registry's ``"engine"`` slot, so a rebuilt
+        engine (restart, promotion) replaces every family this one feeds
+        as one generation.
         """
         reg = self.registry
         cache = self.planner.source_cache
-        reg.counter(
+        yield reg.counter(
             "source_cache_hits_total",
             "Source-cache lookups served from memory",
-        ).collect(lambda: {(): cache.hits})
-        reg.counter(
+        ), lambda: {(): cache.hits}
+        yield reg.counter(
             "source_cache_misses_total",
             "Source-cache lookups that fell through to storage",
-        ).collect(lambda: {(): cache.misses})
-        reg.counter(
+        ), lambda: {(): cache.misses}
+        yield reg.counter(
             "source_cache_evictions_total",
             "Source-cache entries evicted by the byte budget",
-        ).collect(lambda: {(): cache.evictions})
-        reg.gauge(
+        ), lambda: {(): cache.evictions}
+        yield reg.gauge(
             "source_cache_used_bytes", "Bytes held by the source cache",
-        ).collect(lambda: {(): cache.used_bytes})
+        ), lambda: {(): cache.used_bytes}
 
         def index_values(attr):
             return lambda: {
@@ -277,32 +279,32 @@ class DedupEngine:
             }
 
         label = ("database",)
-        reg.counter(
+        yield reg.counter(
             "cuckoo_lookups_total", "Feature-index lookups", label,
-        ).collect(index_values("lookups"))
-        reg.counter(
+        ), index_values("lookups")
+        yield reg.counter(
             "cuckoo_inserts_total", "Feature-index insertions", label,
-        ).collect(index_values("inserts"))
-        reg.counter(
+        ), index_values("inserts")
+        yield reg.counter(
             "cuckoo_displacements_total",
             "Cuckoo kicks (entries displaced during insertion)", label,
-        ).collect(index_values("displacements"))
-        reg.counter(
+        ), index_values("displacements")
+        yield reg.counter(
             "cuckoo_evictions_total",
             "Entries LRU-evicted from full buckets", label,
-        ).collect(index_values("lru_evictions"))
-        reg.gauge(
+        ), index_values("lru_evictions")
+        yield reg.gauge(
             "cuckoo_entries", "Live feature-index entries", label,
-        ).collect(lambda: {
+        ), lambda: {
             (database,): float(len(index))
             for database, index in self._indexes.items()
-        })
-        reg.gauge(
+        }
+        yield reg.gauge(
             "cuckoo_memory_bytes", "Feature-index memory footprint", label,
-        ).collect(lambda: {
+        ), lambda: {
             (database,): float(index.memory_bytes)
             for database, index in self._indexes.items()
-        })
+        }
 
         # Kind-uniform index families: the cuckoo index carries the same
         # hot_hits/misses split as the tiered one, and missing tier
@@ -315,39 +317,39 @@ class DedupEngine:
                 for database, index in self._indexes.items()
             }
 
-        reg.counter(
+        yield reg.counter(
             "index_lookups_total", "Feature-index lookups (all tiers)",
             label,
-        ).collect(tier_values("lookups"))
-        reg.counter(
+        ), tier_values("lookups")
+        yield reg.counter(
             "index_hot_hits_total",
             "Lookups answered by the exact hot tier", label,
-        ).collect(tier_values("hot_hits"))
-        reg.counter(
+        ), tier_values("hot_hits")
+        yield reg.counter(
             "index_cold_hits_total",
             "Lookups answered by the approximate cold tier", label,
-        ).collect(tier_values("cold_hits"))
-        reg.counter(
+        ), tier_values("cold_hits")
+        yield reg.counter(
             "index_misses_total",
             "Lookups answered by neither tier", label,
-        ).collect(tier_values("misses"))
-        reg.counter(
+        ), tier_values("misses")
+        yield reg.counter(
             "index_cold_false_positives_total",
             "Cold-tier Bloom hits for features never demoted", label,
-        ).collect(tier_values("cold_false_positives"))
-        reg.counter(
+        ), tier_values("cold_false_positives")
+        yield reg.counter(
             "index_demotions_total",
             "Hot-tier entries spilled to the cold tier", label,
-        ).collect(tier_values("demotions"))
-        reg.counter(
+        ), tier_values("demotions")
+        yield reg.counter(
             "index_promotions_total",
             "Cold features promoted back into the hot tier", label,
-        ).collect(tier_values("promotions"))
+        ), tier_values("promotions")
         tier_label = ("database", "tier")
-        reg.gauge(
+        yield reg.gauge(
             "index_tier_residency",
             "Entries resident per index tier", tier_label,
-        ).collect(lambda: {
+        ), lambda: {
             key: value
             for database, index in self._indexes.items()
             for key, value in (
@@ -356,11 +358,11 @@ class DedupEngine:
                 ((database, "cold"),
                  float(getattr(index, "cold_records", 0))),
             )
-        })
-        reg.gauge(
+        }
+        yield reg.gauge(
             "index_tier_memory_bytes",
             "Charged index memory per tier", tier_label,
-        ).collect(lambda: {
+        ), lambda: {
             key: value
             for database, index in self._indexes.items()
             for key, value in (
@@ -369,100 +371,90 @@ class DedupEngine:
                 ((database, "cold"),
                  float(getattr(index, "cold_bytes", 0))),
             )
-        })
-        reg.gauge(
+        }
+        yield reg.gauge(
             "index_bytes_per_record",
             "Index memory amortized over the partition's live records",
             label,
-        ).collect(lambda: {
+        ), lambda: {
             (database,): index.memory_bytes
             / max(1, len(self._partition_records.get(database, ())))
             for database, index in self._indexes.items()
-        })
-        reg.counter(
+        }
+        yield reg.counter(
             "index_maintenance_cpu_seconds_total",
             "Simulated CPU spent demoting/promoting index entries",
-        ).collect(lambda: {(): self.index_maintenance_cpu_seconds})
-        reg.gauge(
+        ), lambda: {(): self.index_maintenance_cpu_seconds}
+        yield reg.gauge(
             "governor_dedup_enabled",
             "1 while admission control keeps dedup on for the database",
             label,
-        ).collect(lambda: {
+        ), lambda: {
             (database,): 0.0
             if database in self.admission.disabled_databases
             else 1.0
             for database in self.database_stats
-        })
+        }
         admission = self.admission
 
-        def owned(family):
-            # The admission families are fed exclusively by the current
-            # engine. An engine rebuild (restart, promotion) must reset
-            # them as one coherent group — the reconciliation identity
-            # over defer decisions / drains / queue depth only holds
-            # within a single engine generation, and the dead engine's
-            # sparse gauge rows would otherwise leak through shadowing.
-            family.clear_collectors()
-            return family
-
-        owned(reg.counter(
+        yield reg.counter(
             "admission_decisions_total",
             "Admission decisions per stream (inline / defer / bypass)",
             ("decision", "stream"),
-        )).collect(lambda: {
+        ), lambda: {
             key: float(count)
             for key, count in admission.decision_counts.items()
-        })
-        owned(reg.gauge(
+        }
+        yield reg.gauge(
             "deferred_queue_depth",
             "Records awaiting an out-of-line dedup pass", ("stream",),
-        )).collect(lambda: {
+        ), lambda: {
             (database,): float(admission.pending(database))
             for database in admission.databases_with_pending()
-        })
-        owned(reg.counter(
+        }
+        yield reg.counter(
             "outofline_dedup_records_total",
             "Deferred records drained through the dedup pipeline",
-        )).collect(lambda: {(): float(admission.outofline_records_total)})
-        owned(reg.counter(
+        ), lambda: {(): float(admission.outofline_records_total)}
+        yield reg.counter(
             "outofline_dedup_bytes_total",
             "Raw bytes of deferred records drained through the pipeline",
-        )).collect(lambda: {(): float(admission.outofline_bytes_total)})
-        owned(reg.counter(
+        ), lambda: {(): float(admission.outofline_bytes_total)}
+        yield reg.counter(
             "deferred_discarded_total",
             "Deferred records discarded (stream bypassed, or superseded "
             "by a client update/delete)",
-        )).collect(lambda: {(): float(admission.deferred_discarded_total)})
-        owned(reg.counter(
+        ), lambda: {(): float(admission.deferred_discarded_total)}
+        yield reg.counter(
             "admission_inline_cpu_seconds_total",
             "Encode CPU spent synchronously with client inserts",
-        )).collect(lambda: {(): self.inline_cpu_seconds})
-        owned(reg.counter(
+        ), lambda: {(): self.inline_cpu_seconds}
+        yield reg.counter(
             "admission_outofline_cpu_seconds_total",
             "Encode CPU spent draining deferred records",
-        )).collect(lambda: {(): self.outofline_cpu_seconds})
+        ), lambda: {(): self.outofline_cpu_seconds}
         chunker = self.extractor.chunker
 
-        owned(reg.counter(
+        yield reg.counter(
             "chunker_bytes_scanned_total",
             "Bytes pushed through the CDC gear hash, per chunker lane",
             ("impl",),
-        )).collect(lambda: {
+        ), lambda: {
             (impl,): float(count)
             for impl, count in chunker.bytes_scanned.items()
             if count
-        })
-        owned(reg.counter(
+        }
+        yield reg.counter(
             "chunker_skip_bytes_total",
             "Bytes the scalar chunker lane skipped past min-chunk regions",
-        )).collect(lambda: {(): float(chunker.bytes_skipped)})
-        reg.gauge(
+        ), lambda: {(): float(chunker.bytes_skipped)}
+        yield reg.gauge(
             "size_filter_threshold_bytes",
             "Adaptive size filter cut-off per database", label,
-        ).collect(lambda: {
+        ), lambda: {
             (database,): float(self.size_filter.threshold(database))
             for database in self.database_stats
-        })
+        }
 
     def describe(self) -> str:
         """Operator-facing summary: per-database status + per-stage table."""

@@ -303,7 +303,7 @@ class Cluster:
         self.fault_plan = None
         #: Records repaired through the quarantine path.
         self.repairs = 0
-        self._install_collectors()
+        self.registry.bind("cluster", self._collectors)
         if cap is not None:
             cap.register(self)
 
@@ -323,26 +323,26 @@ class Cluster:
             tracer=self.tracer,
         )
 
-    def _install_collectors(self) -> None:
+    def _collectors(self):
         """Export network, replication and cluster counters lazily."""
         reg = self.registry
         net = self.network
-        reg.counter(
+        yield reg.counter(
             "network_bytes_sent_total",
             "Bytes of all transfer attempts (including dropped ones)",
-        ).collect(lambda: {(): float(net.bytes_sent)})
-        reg.counter(
+        ), lambda: {(): float(net.bytes_sent)}
+        yield reg.counter(
             "network_bytes_delivered_total",
             "Bytes of successfully delivered transfers",
-        ).collect(lambda: {(): float(net.bytes_delivered)})
-        reg.counter(
+        ), lambda: {(): float(net.bytes_delivered)}
+        yield reg.counter(
             "network_messages_total",
             "Transfer attempts by outcome", ("status",),
-        ).collect(lambda: {
+        ), lambda: {
             ("sent",): float(net.messages),
             ("delivered",): float(net.messages_delivered),
             ("dropped",): float(net.messages_dropped),
-        })
+        }
 
         def link_values(attr):
             return lambda: {
@@ -351,74 +351,74 @@ class Cluster:
             }
 
         label = ("link",)
-        reg.counter(
+        yield reg.counter(
             "replication_batches_shipped_total",
             "Oplog batches confirmed delivered", label,
-        ).collect(link_values("batches_shipped"))
-        reg.counter(
+        ), link_values("batches_shipped")
+        yield reg.counter(
             "replication_uncompressed_bytes_total",
             "Pre-batch-compression bytes of shipped batches", label,
-        ).collect(link_values("uncompressed_bytes"))
-        reg.counter(
+        ), link_values("uncompressed_bytes")
+        yield reg.counter(
             "replication_delivery_failures_total",
             "Delivery attempts dropped by fault injection", label,
-        ).collect(link_values("delivery_failures"))
-        reg.counter(
+        ), link_values("delivery_failures")
+        yield reg.counter(
             "replication_failed_syncs_total",
             "Syncs that exhausted their delivery attempts", label,
-        ).collect(link_values("failed_syncs"))
-        reg.counter(
+        ), link_values("failed_syncs")
+        yield reg.counter(
             "replication_resends_total",
             "Successful syncs that resent a previously failed batch", label,
-        ).collect(link_values("resends"))
-        reg.counter(
+        ), link_values("resends")
+        yield reg.counter(
             "faults_injected_total", "Fault-plan rules that fired",
-        ).collect(lambda: {
+        ), lambda: {
             (): float(self.fault_plan.injected)
             if self.fault_plan is not None
             else 0.0
-        })
-        reg.counter(
+        }
+        yield reg.counter(
             "cluster_repairs_total",
             "Records restored through the quarantine repair path",
-        ).collect(lambda: {(): float(self.repairs)})
-        reg.counter(
+        ), lambda: {(): float(self.repairs)}
+        yield reg.counter(
             "cluster_secondary_reads_total",
             "Client reads routed to a secondary",
-        ).collect(lambda: {(): float(self.secondary_reads)})
-        reg.counter(
+        ), lambda: {(): float(self.secondary_reads)}
+        yield reg.counter(
             "cluster_stale_read_fallbacks_total",
             "Secondary reads served by the primary (replica was stale)",
-        ).collect(lambda: {(): float(self.stale_read_fallbacks)})
-        reg.counter(
+        ), lambda: {(): float(self.stale_read_fallbacks)}
+        yield reg.counter(
             "failovers_total",
             "Secondary promotions after a primary was declared dead",
-        ).collect(lambda: {(): float(self.failover.failovers)})
-        reg.counter(
+        ), lambda: {(): float(self.failover.failovers)}
+        yield reg.counter(
             "rollback_entries_total",
             "Oplog entries dropped by divergence rollbacks (the lost-"
             "write window of asynchronous replication)",
-        ).collect(lambda: {(): float(self.failover.rollback_entries)})
-        reg.counter(
+        ), lambda: {(): float(self.failover.rollback_entries)}
+        yield reg.counter(
             "resync_bytes_total",
             "Catch-up wire bytes shipped to rejoining replicas",
-        ).collect(lambda: {(): float(self.failover.resync_bytes)})
-        reg.counter(
+        ), lambda: {(): float(self.failover.resync_bytes)}
+        yield reg.counter(
             "failover_supervised_restarts_total",
             "Downed secondaries revived by the failover supervisor",
-        ).collect(lambda: {(): float(self.failover.supervised_restarts)})
-        reg.counter(
+        ), lambda: {(): float(self.failover.supervised_restarts)}
+        yield reg.counter(
             "failover_stalled_ops_total",
             "Client operations that waited out a promotion",
-        ).collect(lambda: {(): float(self.failover.stalled_ops)})
-        reg.counter(
+        ), lambda: {(): float(self.failover.stalled_ops)}
+        yield reg.counter(
             "oplog_appends_total",
             "Entries ever appended to each node's oplog (monotonic; "
             "rollbacks truncate the log but never this counter)",
             ("node",),
-        ).collect(lambda: {
+        ), lambda: {
             (name,): float(node.oplog.appends) for name, node in self.nodes()
-        })
+        }
 
     @classmethod
     def from_spec(

@@ -34,7 +34,7 @@ def _physical_store(page_size: int, block_compressor, disk: SimDisk):
     )
 
 
-def _install_node_collectors(registry: MetricsRegistry, node) -> None:
+def _node_collectors(node):
     """Export a node's storage-layer counters, labeled by node name.
 
     Collectors close over the *node*, not its current database: a crash
@@ -42,87 +42,90 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
     fresh instance, and the lazy read-through keeps pointing at whichever
     store is live. Counters on replaced components therefore reset on
     restart — exactly what happens to the volatile state they count.
+    A node object replaced under the same name (promotion, rejoin)
+    re-binds the ``"node <name>"`` slot, retiring its predecessor's.
     """
+    registry = node.registry
     label = ("node",)
     key = (node.node_name,)
 
     def export(make, name, help_text, kind="counter"):
         family = getattr(registry, kind)(name, help_text, label)
-        family.collect(lambda: {key: float(make())})
+        return family, lambda: {key: float(make())}
 
     disk = lambda attr: (lambda: getattr(node.db.disk, attr))
-    export(disk("reads"), "disk_reads_total", "Simulated disk read requests")
-    export(disk("writes"), "disk_writes_total", "Simulated disk write requests")
-    export(disk("bytes_read"), "disk_bytes_read_total", "Bytes read from disk")
-    export(
+    yield export(disk("reads"), "disk_reads_total", "Simulated disk read requests")
+    yield export(disk("writes"), "disk_writes_total", "Simulated disk write requests")
+    yield export(disk("bytes_read"), "disk_bytes_read_total", "Bytes read from disk")
+    yield export(
         disk("bytes_written"), "disk_bytes_written_total",
         "Bytes written to disk",
     )
-    export(
+    yield export(
         lambda: node.db.disk.queue_length(), "disk_queue_depth",
         "Outstanding disk requests", kind="gauge",
     )
 
     wb = lambda attr: (lambda: getattr(node.db.writeback_cache, attr))
-    export(
+    yield export(
         wb("flushed"), "writeback_cache_flushed_total",
         "Write-back entries applied to storage",
     )
-    export(
+    yield export(
         wb("discarded"), "writeback_cache_discarded_total",
         "Write-back entries dropped by the byte budget",
     )
-    export(
+    yield export(
         wb("discarded_savings"), "writeback_cache_discarded_savings_bytes_total",
         "Storage savings lost with discarded write-backs",
     )
-    export(
+    yield export(
         wb("invalidated"), "writeback_cache_invalidated_total",
         "Write-back entries superseded by client writes or newer deltas",
     )
-    export(
+    yield export(
         wb("used_bytes"), "writeback_cache_used_bytes",
         "Bytes held by pending write-back entries", kind="gauge",
     )
 
     db = lambda attr: (lambda: getattr(node.db, attr))
-    export(
+    yield export(
         db("writebacks_applied"), "db_writebacks_applied_total",
         "Backward/hop deltas written back to storage",
     )
-    export(
+    yield export(
         db("gc_splices"), "db_gc_splices_total",
         "Deleted records spliced out of decode chains",
     )
-    export(
+    yield export(
         db("decode_base_fetches"), "db_decode_base_fetches_total",
         "Base records fetched while decoding delta chains",
     )
-    export(
+    yield export(
         db("io_retries"), "db_io_retries_total",
         "Disk requests retried after transient fault injection",
     )
-    export(
+    yield export(
         db("io_failures"), "db_io_failures_total",
         "Disk requests abandoned after exhausting retries",
     )
-    export(
+    yield export(
         db("corrupt_reads_detected"), "db_corrupt_reads_detected_total",
         "Checksum mismatches caught on the read path",
     )
-    export(
+    yield export(
         db("corrupt_reads_recovered"), "db_corrupt_reads_recovered_total",
         "Corrupt reads healed by re-reading storage",
     )
-    export(
+    yield export(
         lambda: len(node.db.quarantine), "db_quarantined_records",
         "Records awaiting repair from a healthy replica", kind="gauge",
     )
-    export(
+    yield export(
         lambda: node.crashes, "node_crashes_total",
         "Simulated process crashes",
     )
-    export(
+    yield export(
         lambda: node.background_cpu_seconds, "node_background_cpu_seconds_total",
         "Background CPU consumed off the client critical path",
     )
@@ -130,15 +133,15 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
     pool = lambda attr: (
         lambda: getattr(getattr(node.db.pages, "pool", None), attr, 0)
     )
-    export(
+    yield export(
         pool("hits"), "bufferpool_hits_total",
         "Buffer-pool page requests served from memory",
     )
-    export(
+    yield export(
         pool("misses"), "bufferpool_misses_total",
         "Buffer-pool page requests that hit the device",
     )
-    export(
+    yield export(
         pool("evictions"), "bufferpool_evictions_total",
         "Buffer-pool frames evicted to make room",
     )
@@ -146,11 +149,11 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
     # Cumulative storage accounting: written minus reclaimed equals the
     # live logical footprint by construction — the check-metrics identity
     # reclaimed_bytes_total <= stored_bytes_total rides on these.
-    export(
+    yield export(
         db("stored_bytes_total"), "stored_bytes_total",
         "Bytes ever written into the record store (cumulative)",
     )
-    export(
+    yield export(
         db("reclaimed_bytes_total"), "reclaimed_bytes_total",
         "Bytes reclaimed from the record store by deletes, updates and GC",
     )
@@ -159,37 +162,33 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
     # collector alongside the database it serves (secondaries have none,
     # so the getattr guard reads 0 there).
     gc = lambda attr: (lambda: getattr(getattr(node, "gc", None), attr, 0))
-    export(
+    yield export(
         gc("reclaimed_bytes"), "gc_reclaimed_bytes_total",
         "Stored bytes reclaimed by applied GC batches",
     )
-    export(
+    yield export(
         gc("reroots_applied"), "gc_reroots_total",
         "Delta chains re-rooted past a dead base",
     )
-    export(
+    yield export(
         gc("promotions"), "gc_promotions_total",
         "Dependents promoted to RAW while re-rooting",
     )
-    export(
+    yield export(
         gc("tombstones_removed"), "gc_tombstones_removed_total",
         "Tombstoned records physically removed by GC",
     )
-    export(
+    yield export(
         gc("pages_freed"), "gc_pages_freed_total",
         "Pages freed by GC-driven compaction",
     )
-    export(
+    yield export(
         gc("compaction_bytes_moved"), "gc_compaction_bytes_moved_total",
         "Live bytes migrated while compacting pages",
     )
-    export(
+    yield export(
         gc("cpu_seconds"), "gc_cpu_seconds_total",
         "Background CPU spent planning and applying GC batches",
-    )
-
-    batches_family = registry.counter(
-        "gc_batches_total", "GC batches by outcome", ("node", "outcome")
     )
 
     def _gc_batches() -> dict[tuple[str, str], float]:
@@ -201,7 +200,9 @@ def _install_node_collectors(registry: MetricsRegistry, node) -> None:
             for outcome, count in collector.batches.items()
         }
 
-    batches_family.collect(_gc_batches)
+    yield registry.counter(
+        "gc_batches_total", "GC batches by outcome", ("node", "outcome")
+    ), _gc_batches
 
 
 class PrimaryNode:
@@ -257,7 +258,7 @@ class PrimaryNode:
         #: :meth:`drain_index_backlog`.
         self._index_backlog: list[str] = []
         if self.registry is not None:
-            _install_node_collectors(self.registry, self)
+            self.registry.bind(f"node {node_name}", lambda: _node_collectors(self))
 
     @classmethod
     def from_secondary(
@@ -426,8 +427,9 @@ class PrimaryNode:
         fault_injector = self.db.fault_injector
         disk = self.db.disk  # the device outlives the process
         if self.dedup_enabled:
-            # A shared registry sees the rebuilt engine's collectors
-            # shadow the dead engine's — restarted state reads fresh.
+            # The rebuilt engine re-binds the registry's engine slot,
+            # retiring the dead engine's collectors — restarted state
+            # reads fresh.
             self.engine = self._build_engine()
         db = self._build_database(disk)
         db.fault_injector = fault_injector
@@ -791,12 +793,16 @@ class SecondaryNode:
         self.crashes = 0
         self._crashed = False
         if self.registry is not None:
-            _install_node_collectors(self.registry, self)
-            self.registry.counter(
-                "secondary_decode_fallbacks_total",
-                "Encoded entries applied raw because the base was missing",
-                ("node",),
-            ).collect(lambda: {(self.node_name,): float(self.decode_fallbacks)})
+            self.registry.bind(f"node {node_name}", self._collectors)
+
+    def _collectors(self):
+        """The shared node families plus the secondary-only fallbacks."""
+        yield from _node_collectors(self)
+        yield self.registry.counter(
+            "secondary_decode_fallbacks_total",
+            "Encoded entries applied raw because the base was missing",
+            ("node",),
+        ), lambda: {(self.node_name,): float(self.decode_fallbacks)}
 
     @classmethod
     def from_demoted_primary(cls, node: PrimaryNode) -> "SecondaryNode":

@@ -205,7 +205,7 @@ class ShardedCluster:
         #: sampler to export, so the bundle-level slot stays empty.
         self.sampler = None
         self._router_registry = MetricsRegistry()
-        self._install_router_collectors()
+        self._router_registry.bind("router", self._router_collectors)
         if cap is not None:
             cap.register(self)
 
@@ -227,29 +227,29 @@ class ShardedCluster:
             capture=capture,
         )
 
-    def _install_router_collectors(self) -> None:
+    def _router_collectors(self):
         """Export the router's counters from the topology-level registry."""
         reg = self._router_registry
         router = self.router
-        reg.gauge(
+        yield reg.gauge(
             "router_shard_count", "Number of shards in the topology",
-        ).collect(lambda: {(): float(router.shards)})
-        reg.counter(
+        ), lambda: {(): float(router.shards)}
+        yield reg.counter(
             "router_records_routed_total",
             "Client inserts routed to each shard", ("shard",),
-        ).collect(lambda: {
+        ), lambda: {
             (str(index),): float(count)
             for index, count in enumerate(router.counts)
-        })
-        reg.counter(
+        }
+        yield reg.counter(
             "router_cross_shard_misses_total",
             "Inserts whose entity already lived on a different shard "
             "(forfeited dedup opportunities)",
-        ).collect(lambda: {(): float(router.cross_shard_misses)})
-        reg.gauge(
+        ), lambda: {(): float(router.cross_shard_misses)}
+        yield reg.gauge(
             "router_entities_tracked",
             "Distinct locality keys the router has seen",
-        ).collect(lambda: {(): float(router.entities_tracked)})
+        ), lambda: {(): float(router.entities_tracked)}
 
     # -- client operations ---------------------------------------------------
 

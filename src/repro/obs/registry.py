@@ -11,7 +11,11 @@ simulator needs:
 * families can additionally register *collector callbacks* that produce
   ``{label_values: value}`` lazily at snapshot time, which is how
   components with existing native counters (caches, disks, the network)
-  are exported without paying anything on their hot paths.
+  are exported without paying anything on their hot paths;
+* components do not register collectors themselves: each *binds* an
+  installer to its slot (:meth:`MetricsRegistry.bind`), and the registry
+  runs pending installers only when something first reads it, so
+  building a cluster costs O(components), not O(families).
 
 Everything snapshots to plain dicts; see :mod:`repro.obs.export` for the
 Prometheus/JSON serializations.
@@ -203,18 +207,6 @@ class InstrumentFamily:
             raise ValueError(f"{self.name}: histograms cannot use collectors")
         self._collectors.append(fn)
 
-    def clear_collectors(self) -> None:
-        """Drop every registered collector.
-
-        For families owned by a rebuildable component (e.g. the dedup
-        engine, rebuilt on restart and promotion): shadowing only
-        replaces label sets the new collector also reports, so a sparse
-        collector would leak the dead component's stale rows. The owner
-        clears before re-registering so exactly one generation feeds the
-        family.
-        """
-        self._collectors.clear()
-
     def items(self) -> list[tuple[tuple[str, ...], float]]:
         """``(label_values, scalar)`` pairs for counter/gauge families."""
         if self.kind == "histogram":
@@ -262,11 +254,20 @@ class InstrumentFamily:
         return body
 
 
+#: A component's collector installer (see :meth:`MetricsRegistry.bind`):
+#: yields ``(family, collector)`` pairs when the registry is first read.
+Installer = Callable[[], Iterable[tuple[InstrumentFamily, CollectorFn]]]
+
+
 class MetricsRegistry:
     """Owns instrument families; the unit of export and sampling."""
 
     def __init__(self) -> None:
         self._families: dict[str, InstrumentFamily] = {}
+        #: slot -> installer not yet run, in bind order.
+        self._pending: dict[str, Installer] = {}
+        #: slot -> the ``(family, collector)`` pairs its installer attached.
+        self._bound: dict[str, list[tuple[InstrumentFamily, CollectorFn]]] = {}
 
     def _family(
         self,
@@ -315,22 +316,50 @@ class MetricsRegistry:
         """Get or create a histogram family with fixed ``buckets``."""
         return self._family(name, "histogram", help, labels, buckets)
 
+    def bind(self, slot: str, install: Installer) -> None:
+        """Make ``install`` the collector installer of component ``slot``.
+
+        One slot per live component (``"engine"``, ``"node primary"``,
+        ``"cluster"``). Nothing runs now: every read path first runs the
+        pending installers in bind order, so kind and label conflicts
+        raise at that first read. Re-binding a slot replaces its previous
+        generation — a pending installer is discarded, a materialised
+        one's collectors are detached — so a rebuilt component's
+        predecessor neither leaks stale rows nor stays reachable.
+        """
+        for family, fn in self._bound.pop(slot, ()):
+            family._collectors.remove(fn)
+        self._pending.pop(slot, None)
+        self._pending[slot] = install
+
+    def _materialise(self) -> None:
+        """Run pending installers (a failing one stays pending)."""
+        while self._pending:
+            slot, install = next(iter(self._pending.items()))
+            pairs = list(install())
+            for family, fn in pairs:
+                family.collect(fn)
+            del self._pending[slot]
+            self._bound[slot] = pairs
+
     def get(self, name: str) -> InstrumentFamily | None:
         """The named family, or None."""
+        self._materialise()
         return self._families.get(name)
 
     def families(self) -> list[InstrumentFamily]:
         """Every registered family, sorted by name."""
+        self._materialise()
         return [self._families[name] for name in sorted(self._families)]
 
     def total(self, name: str) -> float:
         """Sum of a scalar family across labels (0.0 when unregistered)."""
-        family = self._families.get(name)
+        family = self.get(name)
         return family.total() if family is not None else 0.0
 
     def value(self, name: str, *label_values: str) -> float:
         """One label set's value of a scalar family (0.0 when absent)."""
-        family = self._families.get(name)
+        family = self.get(name)
         return family.value(*label_values) if family is not None else 0.0
 
     def snapshot(self) -> dict:

@@ -191,3 +191,88 @@ class TestOpLatencyInstruments:
         ((key, value),) = family.items()
         assert key == ("failover_stall", "wiki")
         assert value == 3
+
+
+
+def _installer(reg, value, runs=None, name="x_total", kind="counter",
+               labels=("node",), key=("a",)):
+    """An installer feeding ``{key: value}`` into one family."""
+    def install():
+        if runs is not None:
+            runs.append(value)
+        yield getattr(reg, kind)(name, "x", labels), lambda: {key: value}
+    return install
+
+
+class TestBind:
+    """Deferred, slot-keyed collector installers."""
+
+    @pytest.mark.parametrize("read", [
+        lambda reg: reg.get("x_total"),
+        lambda reg: reg.families(),
+        lambda reg: reg.snapshot(),
+        lambda reg: reg.total("x_total"),
+        lambda reg: reg.value("x_total", "a"),
+    ], ids=["get", "families", "snapshot", "total", "value"])
+    def test_installer_runs_once_on_first_read(self, read):
+        reg = MetricsRegistry()
+        runs = []
+        reg.bind("slot", _installer(reg, 1, runs))
+        assert runs == []
+        read(reg)
+        read(reg)
+        reg.snapshot()
+        assert runs == [1]
+        assert reg.value("x_total", "a") == 1
+
+    def test_rebind_before_read_runs_only_latest(self):
+        reg = MetricsRegistry()
+        runs = []
+        reg.bind("slot", _installer(reg, 1, runs))
+        reg.bind("slot", _installer(reg, 2, runs))
+        assert reg.value("x_total", "a") == 2
+        assert runs == [2]
+        assert len(reg.get("x_total")._collectors) == 1
+
+    def test_rebind_after_read_replaces_only_that_slot(self):
+        reg = MetricsRegistry()
+        runs = []
+        reg.bind("one", _installer(reg, 1, runs))
+        reg.bind("other", _installer(reg, 5, runs, name="y_total"))
+        assert reg.value("x_total", "a") == 1
+        reg.bind("one", _installer(reg, 2, runs))
+        assert reg.value("x_total", "a") == 2
+        assert reg.value("y_total", "a") == 5
+        assert runs == [1, 5, 2]
+        assert len(reg.get("x_total")._collectors) == 1
+        assert len(reg.get("y_total")._collectors) == 1
+
+    def test_rebind_drops_rows_only_the_old_generation_reported(self):
+        reg = MetricsRegistry()
+        reg.bind("slot", _installer(reg, 1, key=("gone",)))
+        assert reg.value("x_total", "gone") == 1
+        reg.bind("slot", _installer(reg, 2))
+        assert reg.get("x_total").items() == [(("a",), 2.0)]
+
+    def test_slots_feeding_one_family_coexist(self):
+        reg = MetricsRegistry()
+        reg.bind("node p", _installer(reg, 3, key=("p",)))
+        reg.bind("node s", _installer(reg, 4, key=("s",)))
+        assert reg.get("x_total").items() == [(("p",), 3.0), (("s",), 4.0)]
+
+    def test_kind_mismatch_raises_at_first_read(self):
+        reg = MetricsRegistry()
+        reg.counter("x_total", "x", ("node",))
+        reg.bind("slot", _installer(reg, 1, kind="gauge"))
+        with pytest.raises(ValueError, match="already registered as counter"):
+            reg.snapshot()
+
+    def test_label_mismatch_raises_at_first_read(self):
+        reg = MetricsRegistry()
+        reg.counter("x_total", "x", ("node",))
+        reg.bind("slot", _installer(reg, 1, labels=("scope",)))
+        with pytest.raises(ValueError, match="already registered with labels"):
+            reg.total("x_total")
+        # The conflict stays pending: every later read re-raises it.
+        with pytest.raises(ValueError):
+            reg.families()
