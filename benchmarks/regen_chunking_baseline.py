@@ -1,7 +1,7 @@
 """Regenerate benchmarks/baselines/chunking_microbench.json.
 
-Measures both chunker lanes on the same corpus the microbench uses and
-rewrites the committed baseline. Run from the repo root::
+Measures the chunker and its scalar oracle on the same corpus the
+microbench uses and rewrites the committed baseline. Run from the repo root::
 
     PYTHONPATH=src python benchmarks/regen_chunking_baseline.py
 """
@@ -11,26 +11,29 @@ import time
 from pathlib import Path
 
 from repro.chunking.cdc import ContentDefinedChunker
+from repro.chunking.scalar import scalar_boundaries
 from repro.workloads.text import TextGenerator
 
 
-def throughput_mb_s(chunker, data, repeat=5) -> float:
+def throughput_mb_s(boundaries, data, repeat=5) -> float:
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        chunker.boundaries(data)
+        boundaries(data)
         best = min(best, time.perf_counter() - t0)
     return len(data) / best / 1e6
 
 
 def main() -> None:
     corpus = TextGenerator(seed=77).document(256 * 1024).encode()
+    chunker = ContentDefinedChunker(avg_size=64)
     scalar = throughput_mb_s(
-        ContentDefinedChunker(avg_size=64, impl="scalar"), corpus
+        lambda data: scalar_boundaries(
+            data, chunker.min_size, chunker.avg_size, chunker.max_size
+        ),
+        corpus,
     )
-    vectorized = throughput_mb_s(
-        ContentDefinedChunker(avg_size=64, impl="vectorized"), corpus
-    )
+    vectorized = throughput_mb_s(chunker.boundaries, corpus)
     baseline = {
         "corpus_bytes": len(corpus),
         "avg_size": 64,

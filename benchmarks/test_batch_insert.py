@@ -38,7 +38,7 @@ def trace_factory():
 def run_cluster(trace_factory, batch_size: int):
     """Drive one cluster over the trace; return (wall seconds, result)."""
     cluster = Cluster(
-        ClusterConfig(
+        config=ClusterConfig(
             dedup=DedupConfig(chunk_size=64),
             insert_batch_size=batch_size,
         )

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 from repro.chunking.cdc import ContentDefinedChunker
+from repro.chunking.scalar import scalar_boundaries
 from repro.compression.snappy import snappy_compress, snappy_decompress
 from repro.delta.dbdelta import DeltaCompressor
 from repro.delta.decode import apply_delta
 from repro.delta.reencode import delta_reencode
 from repro.hashing.adler import rolling_adler32
 from repro.hashing.murmur import murmur3_32
-from repro.hashing.rabin import rolling_rabin
 from repro.index.cuckoo import CuckooFeatureIndex
 from repro.sketch.features import SketchExtractor
 from repro.workloads.edits import revise
@@ -33,12 +33,6 @@ def corpus():
     base = text_gen.document(32_000)
     target = revise(rng, text_gen, base, num_edits=6)
     return base.encode(), target.encode()
-
-
-def test_rolling_rabin_32k(benchmark, corpus):
-    data, _ = corpus
-    hashes = benchmark(rolling_rabin, data, 48)
-    assert len(hashes) == len(data) - 47
 
 
 def test_rolling_adler_32k(benchmark, corpus):
@@ -130,37 +124,40 @@ def chunking_corpus():
     return TextGenerator(seed=77).document(256 * 1024).encode()
 
 
-def _throughput_mb_s(chunker, data, repeat=3):
+def _throughput_mb_s(boundaries, data, repeat=3):
     """Best-of-N boundary-scan throughput in MB/s."""
     import time
 
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        chunker.boundaries(data)
+        boundaries(data)
         best = min(best, time.perf_counter() - t0)
     return len(data) / best / 1e6
 
 
 def test_chunking_throughput_vectorized_vs_scalar(chunking_corpus):
-    """The vectorized lane must stay >= 3x the scalar lane's throughput.
+    """The chunker must stay >= 3x the scalar oracle's throughput.
 
-    Measured both against the scalar lane run here and now (robust to
+    Measured both against the scalar oracle run here and now (robust to
     host speed) and against the committed scalar baseline (catches a
-    vectorized-lane regression even if the scalar lane slowed down
-    alongside it). Regenerate the baseline after an intended change
-    with::
+    chunker regression even if the oracle slowed down alongside it).
+    Regenerate the baseline after an intended change with::
 
         PYTHONPATH=src python benchmarks/regen_chunking_baseline.py
     """
-    scalar = ContentDefinedChunker(avg_size=64, impl="scalar")
-    vector = ContentDefinedChunker(avg_size=64, impl="vectorized")
-    assert scalar.boundaries(chunking_corpus) == vector.boundaries(
-        chunking_corpus
-    )
+    vector = ContentDefinedChunker(avg_size=64)
+
+    def scalar(data):
+        cuts, _ = scalar_boundaries(
+            data, vector.min_size, vector.avg_size, vector.max_size
+        )
+        return cuts
+
+    assert scalar(chunking_corpus) == vector.boundaries(chunking_corpus)
 
     scalar_mb_s = _throughput_mb_s(scalar, chunking_corpus)
-    vector_mb_s = _throughput_mb_s(vector, chunking_corpus)
+    vector_mb_s = _throughput_mb_s(vector.boundaries, chunking_corpus)
     assert vector_mb_s >= 3.0 * scalar_mb_s, (
         f"vectorized {vector_mb_s:.1f} MB/s < 3x scalar "
         f"{scalar_mb_s:.1f} MB/s"
@@ -179,7 +176,7 @@ def test_chunking_batch_throughput(benchmark, chunking_corpus):
         chunking_corpus[i : i + 4096]
         for i in range(0, len(chunking_corpus), 4096)
     ]
-    chunker = ContentDefinedChunker(avg_size=64, impl="vectorized")
+    chunker = ContentDefinedChunker(avg_size=64)
     results = benchmark(chunker.boundaries_many, records)
     assert len(results) == len(records)
 

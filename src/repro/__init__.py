@@ -24,7 +24,6 @@ from repro.core import (
     AdmissionController,
     DedupConfig,
     DedupEngine,
-    DedupGovernor,
     DedupStats,
     SecondaryReencoder,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "AdmissionController",
     "DedupConfig",
     "DedupEngine",
-    "DedupGovernor",
     "DedupStats",
     "SecondaryReencoder",
     "TradDedupEngine",

@@ -335,7 +335,7 @@ class DedupClient:
                 )
                 partitions[database] = body
             shards[index] = {
-                "kind": engine.index_spec.kind,
+                "kind": engine.config.index.kind,
                 "maintenance_cpu_seconds":
                     engine.index_maintenance_cpu_seconds,
                 "partitions": partitions,

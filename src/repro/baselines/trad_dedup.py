@@ -1,9 +1,9 @@
 """Traditional chunk-based exact deduplication (§2.2, the trad-dedup bars).
 
 The classic backup-system design, implemented the way the paper implemented
-it inside MongoDB for comparison: each record is Rabin-chunked, every chunk
-is identified by its SHA-1 digest, and a *global* index of all digests
-detects exact duplicates. Duplicate chunks store a 20-byte reference in the
+it inside MongoDB for comparison: each record is content-defined chunked,
+every chunk is identified by its SHA-1 digest, and a *global* index of all
+digests detects exact duplicates. Duplicate chunks store a 20-byte reference in the
 record recipe instead of their bytes.
 
 Its two failure modes on database workloads are exactly what Fig. 1/10
@@ -49,7 +49,7 @@ class TradDedupEngine:
     """Exact chunk-based dedup over a stream of records.
 
     Args:
-        chunk_size: average Rabin chunk size (the paper evaluates 4 KB —
+        chunk_size: average CDC chunk size (the paper evaluates 4 KB —
             the backup-industry norm — and 64 B).
     """
 

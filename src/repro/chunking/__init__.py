@@ -1,13 +1,11 @@
 """Record chunking: content-defined (normalized gear) and fixed-size.
 
-The content-defined chunker has two lanes producing byte-identical
-boundaries: a numpy-vectorized bulk sweep (the hot path) and a scalar
-byte-at-a-time oracle (:mod:`repro.chunking.scalar`) kept for
-differential testing.
+The content-defined chunker is a numpy-vectorized bulk sweep; a scalar
+byte-at-a-time oracle (:mod:`repro.chunking.scalar`) with byte-identical
+boundaries is kept for differential testing.
 """
 
 from repro.chunking.cdc import (
-    CHUNKER_IMPLS,
     Chunk,
     ContentDefinedChunker,
     normalized_masks,
@@ -15,7 +13,6 @@ from repro.chunking.cdc import (
 from repro.chunking.fixed import FixedSizeChunker
 
 __all__ = [
-    "CHUNKER_IMPLS",
     "Chunk",
     "ContentDefinedChunker",
     "FixedSizeChunker",

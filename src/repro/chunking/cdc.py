@@ -10,22 +10,16 @@ distribution in toward the target from both sides, and the ``min``/
 ``max`` clamps still bound the tails outright — a forced cut landing
 exactly on a hash match emits a single boundary.
 
-Two lanes compute the same boundaries:
+The chunker is a numpy bulk sweep (:func:`~repro.hashing.gear.
+gear_hashes`) that computes the hash at every position in six shift-add
+passes; only the sparse mask matches are visited in Python.
+:meth:`ContentDefinedChunker.boundaries_many` amortizes one padded sweep
+across a whole batch of records.
 
-* **scalar** — byte-at-a-time with skip-ahead past min-chunk regions
-  (:func:`repro.chunking.scalar.scalar_boundaries`). This is the
-  differential-testing *oracle*: slow, obvious, frozen.
-* **vectorized** — a numpy bulk sweep (:func:`~repro.hashing.gear.
-  gear_hashes`) computes the hash at every position in six shift-add
-  passes; only the sparse mask matches are visited in Python.
-  :meth:`ContentDefinedChunker.boundaries_many` amortizes one padded
-  sweep across a whole batch of records.
-
-The lanes are selected by ``impl`` (surfaced as
-``DedupConfig.chunker_impl``); the differential fuzz suite holds them
-byte-identical on every input, so every equivalence property proved
-elsewhere (batch ≡ sequential, sharded ≡ unsharded, inline ≡ hybrid)
-holds regardless of lane.
+:func:`repro.chunking.scalar.scalar_boundaries` is the byte-at-a-time
+reference for the same cut rule — slow, obvious, frozen, and used only
+by tests. The differential fuzz suite holds this chunker byte-identical
+to it on every input.
 """
 
 from __future__ import annotations
@@ -35,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chunking.scalar import scalar_boundaries
 from repro.hashing.gear import GEAR_NP, WINDOW, gear_hashes
-
-#: Recognized ``impl`` values: the explicit lanes plus ``"auto"``, which
-#: resolves to the vectorized lane (numpy is a hard dependency; the knob
-#: exists so differential tests and ablations can force the oracle).
-CHUNKER_IMPLS = ("scalar", "vectorized", "auto")
 
 #: Normalization level: the strict mask carries ``log2(avg) + 2`` low
 #: bits, the loose mask ``log2(avg) - 2`` (FastCDC's "NC 2" setting).
@@ -97,14 +85,10 @@ class ContentDefinedChunker:
             previous one. Defaults to ``avg_size // 4``.
         max_size: a boundary is forced at this length. Defaults to
             ``avg_size * 4``.
-        impl: ``"scalar"`` (byte-at-a-time oracle), ``"vectorized"``
-            (numpy bulk sweep), or ``"auto"`` (the vectorized lane).
 
     Attributes:
-        bytes_scanned: bytes pushed through the gear hash, keyed by lane
-            (exported as ``chunker_bytes_scanned_total{impl}``).
-        bytes_skipped: bytes the scalar lane's skip-ahead never touched
-            (exported as ``chunker_skip_bytes_total``).
+        bytes_scanned: bytes pushed through the gear hash (exported as
+            ``chunker_bytes_scanned_total{impl="vectorized"}``).
     """
 
     def __init__(
@@ -112,12 +96,9 @@ class ContentDefinedChunker:
         avg_size: int = 1024,
         min_size: int | None = None,
         max_size: int | None = None,
-        impl: str = "auto",
     ) -> None:
         if avg_size < 8 or avg_size & (avg_size - 1):
             raise ValueError(f"avg_size must be a power of two >= 8, got {avg_size}")
-        if impl not in CHUNKER_IMPLS:
-            raise ValueError(f"impl must be one of {CHUNKER_IMPLS}, got {impl!r}")
         self.avg_size = avg_size
         self.min_size = avg_size // 4 if min_size is None else min_size
         self.max_size = avg_size * 4 if max_size is None else max_size
@@ -126,15 +107,8 @@ class ContentDefinedChunker:
                 f"need 0 < min_size <= avg_size <= max_size, got "
                 f"{self.min_size}/{avg_size}/{self.max_size}"
             )
-        self.impl = impl
         self.strict_mask, self.loose_mask = normalized_masks(avg_size)
-        self.bytes_scanned: dict[str, int] = {"scalar": 0, "vectorized": 0}
-        self.bytes_skipped = 0
-
-    @property
-    def resolved_impl(self) -> str:
-        """The lane actually in use (``"auto"`` resolves to vectorized)."""
-        return "vectorized" if self.impl == "auto" else self.impl
+        self.bytes_scanned = 0
 
     # -- boundary computation --------------------------------------------------
 
@@ -142,10 +116,8 @@ class ContentDefinedChunker:
         """Return chunk end offsets (ascending, final element ``len(data)``)."""
         if not data:
             return []
-        if self.resolved_impl == "scalar":
-            return self._scalar_boundaries(data)
         hashes = gear_hashes(data)
-        self.bytes_scanned["vectorized"] += len(data)
+        self.bytes_scanned += len(data)
         return self._cuts_from_hashes(hashes, len(data))
 
     def boundaries_many(self, datas: list[bytes]) -> list[list[int]]:
@@ -159,15 +131,10 @@ class ContentDefinedChunker:
         terms, which contribute nothing at any shift, so no record's
         hashes see its neighbour's bytes. Records of
         :data:`_BATCH_RECORD_CUTOFF` bytes or more gain nothing from
-        amortization and are swept individually. The scalar lane chunks
-        record by record (it has no per-call setup worth amortizing).
+        amortization and are swept individually.
         """
         if not datas:
             return []
-        if self.resolved_impl == "scalar":
-            return [
-                self._scalar_boundaries(data) if data else [] for data in datas
-            ]
         results: list[list[int] | None] = [None] * len(datas)
         small: list[int] = []
         for pos, data in enumerate(datas):
@@ -194,30 +161,21 @@ class ContentDefinedChunker:
                     padded[:-shift] << np.uint64(shift),
                     out=padded[shift:],
                 )
-            self.bytes_scanned["vectorized"] += total
+            self.bytes_scanned += total
             for pos, offset in zip(small, offsets):
                 data = datas[pos]
                 hashes = padded[offset : offset + len(data)]
                 results[pos] = self._cuts_from_hashes(hashes, len(data))
         return results
 
-    def _scalar_boundaries(self, data: bytes) -> list[int]:
-        """Oracle lane plus its scanned/skipped byte accounting."""
-        cuts, hashed = scalar_boundaries(
-            data, self.min_size, self.avg_size, self.max_size
-        )
-        self.bytes_scanned["scalar"] += hashed
-        if hashed < len(data):
-            self.bytes_skipped += len(data) - hashed
-        return cuts
-
     def _cuts_from_hashes(self, hashes: np.ndarray, n: int) -> list[int]:
         """Normalized cut scan over a record's precomputed hash array.
 
         Mask matches are extracted once with numpy; the per-chunk walk
         then touches only those sparse candidates via :func:`bisect_left`.
-        Cut semantics mirror the scalar oracle exactly: hash index ``i``
-        ends a chunk at offset ``i + 1``; candidates live in
+        Cut semantics mirror the scalar oracle
+        (:func:`~repro.chunking.scalar.scalar_boundaries`) exactly: hash
+        index ``i`` ends a chunk at offset ``i + 1``; candidates live in
         ``[start + min_size, hi]`` with ``hi = min(start + max_size, n)``;
         the strict mask applies through ``start + avg_size``, the loose
         mask after; no match forces the cut at ``hi`` (coinciding match

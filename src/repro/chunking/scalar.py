@@ -1,14 +1,15 @@
-"""Scalar CDC lane: the byte-at-a-time differential-testing oracle.
+"""Scalar CDC oracle: the byte-at-a-time differential-testing reference.
 
 This module is the *reference* implementation of normalized gear-hash
-chunking. The vectorized lane in :mod:`repro.chunking.cdc` must produce
-byte-identical boundaries on every input; the differential fuzz suite
+chunking, used only by tests. The vectorized chunker in
+:mod:`repro.chunking.cdc` must produce byte-identical boundaries on
+every input; the differential fuzz suite
 (``tests/chunking/test_differential.py``) enforces that, and
 ``tools/check_api_boundary.py`` freezes this module's public surface to
 exactly :func:`scalar_boundaries` so the oracle cannot silently grow
 behaviour the fuzz suite does not cross-check.
 
-The cut rule (shared with the vectorized lane, re-derived independently
+The cut rule (shared with the vectorized chunker, re-derived independently
 here on purpose):
 
 * a chunk never ends before ``min_size`` bytes — the scan *skips ahead*
@@ -45,7 +46,8 @@ def scalar_boundaries(
         min_size / avg_size / max_size: chunk-size bounds; ``avg_size``
             must be a power of two ``>= 8`` (the masks take ``log2`` of
             it), with ``0 < min_size <= avg_size <= max_size``.
-        table: 256-entry gear table (all lanes must agree on it).
+        table: 256-entry gear table (the chunker and this oracle must
+            agree on it).
 
     Returns:
         ``(boundaries, bytes_hashed)``: ascending cut offsets whose final

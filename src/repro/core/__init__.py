@@ -19,7 +19,6 @@ from repro.core.admission import (
 )
 from repro.core.config import DedupConfig
 from repro.core.engine import DedupEngine, EncodeResult, RecordProvider
-from repro.core.governor import DedupGovernor
 from repro.core.reencoder import SecondaryReencoder
 from repro.core.selector import SourceSelector
 from repro.core.size_filter import AdaptiveSizeFilter
@@ -35,7 +34,6 @@ __all__ = [
     "DedupEngine",
     "EncodeResult",
     "RecordProvider",
-    "DedupGovernor",
     "SecondaryReencoder",
     "SourceSelector",
     "AdaptiveSizeFilter",

@@ -25,7 +25,7 @@ Modes:
 
 * ``"governor"`` (default): the paper-faithful behaviour — inline until
   the windowed ratio drops below the threshold, then permanent bypass.
-  Byte-identical to the pre-refactor :class:`DedupGovernor`.
+  This is §3.4.1's per-database kill switch.
 * ``"inline"``: always inline, never defer, never bypass (the estimator
   still runs for reporting).
 * ``"hybrid"``: the three-way policy described above.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 #: Admission modes (``DedupConfig.admission_mode``).

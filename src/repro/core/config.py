@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.index.spec import IndexSpec
-from repro.util.deprecation import warn_once
-
-#: Flat index knobs that predate :class:`IndexSpec`, with their defaults —
-#: still accepted (folded into a cuckoo spec with a one-time deprecation
-#: warning) but rejected when an explicit ``index`` spec is also given.
-_FLAT_INDEX_KNOBS = (
-    ("index_buckets", 1 << 16),
-    ("index_slots", 4),
-    ("max_candidates", 8),
-)
 
 
 @dataclass
@@ -25,23 +15,10 @@ class DedupConfig:
         chunk_size: average content-defined chunk size for feature
             extraction. Fig. 1 headlines 1 KB and 64 B; 1 KB is the
             general default.
-        chunker_impl: which CDC lane extracts boundaries — ``"scalar"``
-            (byte-at-a-time oracle), ``"vectorized"`` (numpy bulk
-            sweep), or ``"auto"`` (vectorized whenever available, the
-            default). Both lanes produce byte-identical boundaries and
-            sketches; the knob trades differential-testing fidelity
-            against throughput, never changing results.
         top_k: sketch size K (§3.1.1; paper default 8).
         index: the :class:`~repro.index.spec.IndexSpec` describing the
-            feature index (kind, geometry, tiered memory budget). None
-            falls back to the flat knobs below via :meth:`resolved_index`.
-        max_candidates: per-feature cap on similar records returned by the
-            index before LRU eviction kicks in (§3.1.2). **Deprecated** as
-            a flat knob — set ``index=IndexSpec(max_candidates=...)``.
-        index_buckets / index_slots: cuckoo feature index geometry.
-            **Deprecated** — set ``index=IndexSpec(num_buckets=...,
-            slots_per_bucket=...)`` instead; overriding these while also
-            passing ``index`` is an error.
+            feature index (kind, geometry, per-feature candidate cap,
+            tiered memory budget); defaults to the unbounded cuckoo index.
         anchor_interval: delta-compression anchor sampling interval
             (§4.2; paper default 64).
         delta_window: delta-compression checksum window (xDelta's 16).
@@ -104,12 +81,8 @@ class DedupConfig:
     """
 
     chunk_size: int = 1024
-    chunker_impl: str = "auto"
     top_k: int = 8
-    index: IndexSpec | None = None
-    max_candidates: int = 8
-    index_buckets: int = 1 << 16
-    index_slots: int = 4
+    index: IndexSpec = field(default_factory=IndexSpec)
     anchor_interval: int = 64
     delta_window: int = 16
     encoding: str = "hop"
@@ -144,13 +117,6 @@ class DedupConfig:
             )
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        from repro.chunking.cdc import CHUNKER_IMPLS
-
-        if self.chunker_impl not in CHUNKER_IMPLS:
-            raise ValueError(
-                f"chunker_impl must be one of {CHUNKER_IMPLS}, "
-                f"got {self.chunker_impl!r}"
-            )
         if self.encoding not in ("hop", "backward", "version-jumping", "forward"):
             raise ValueError(f"unknown encoding scheme {self.encoding!r}")
         if not 0.0 < self.min_savings_ratio <= 1.0:
@@ -174,9 +140,6 @@ class DedupConfig:
                 f"gc_max_batch_records must be >= 1, got "
                 f"{self.gc_max_batch_records}"
             )
-        # Validate the index configuration (and emit the flat-knob
-        # deprecation warning, if due) at construction time.
-        self.resolved_index()
         # Admission parameters share the controller's validation so a bad
         # spec fails at construction, not at first insert.
         from repro.core.admission import AdmissionController
@@ -191,42 +154,4 @@ class DedupConfig:
             locality_weight=self.admission_locality_weight,
             locality_depth=self.admission_locality_depth,
             max_deferred_records=self.admission_queue_records,
-        )
-
-    def resolved_index(self) -> IndexSpec:
-        """The effective :class:`IndexSpec`, folding in deprecated knobs.
-
-        Resolution order:
-
-        * ``index`` set and no flat knob overridden → the spec, as given;
-        * ``index`` set *and* a flat knob overridden → ``ValueError``
-          (two sources of truth for the same geometry);
-        * flat knobs overridden, no ``index`` → a cuckoo spec built from
-          them, after a once-per-process deprecation warning;
-        * neither → the default cuckoo spec.
-        """
-        overridden = [
-            name
-            for name, default in _FLAT_INDEX_KNOBS
-            if getattr(self, name) != default
-        ]
-        if self.index is not None:
-            if overridden:
-                raise ValueError(
-                    "DedupConfig.index and deprecated flat index knobs "
-                    f"({', '.join(overridden)}) were both set; configure "
-                    "the index through IndexSpec alone"
-                )
-            return self.index
-        if overridden:
-            warn_once(
-                "DedupConfig.index_flat_knobs",
-                "DedupConfig's flat index knobs (index_buckets, "
-                "index_slots, max_candidates) are deprecated; pass "
-                "index=IndexSpec(...) instead",
-            )
-        return IndexSpec(
-            num_buckets=self.index_buckets,
-            slots_per_bucket=self.index_slots,
-            max_candidates=self.max_candidates,
         )

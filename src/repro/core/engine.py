@@ -45,7 +45,6 @@ from repro.index.tiered import FeatureIndex, build_index
 from repro.obs.registry import MetricsRegistry, slo_events_family
 from repro.sim.costs import CostModel
 from repro.sketch.features import SketchExtractor
-from repro.util.deprecation import positional_shim
 
 
 class RecordProvider(Protocol):
@@ -112,12 +111,6 @@ class EncodeResult:
 class DedupEngine:
     """Primary-side deduplication engine."""
 
-    @positional_shim(
-        ("config", "costs", "observers", "registry"),
-        "DedupEngine",
-        "positional DedupEngine(...) arguments are deprecated; pass them "
-        "by keyword (engine parameters live on repro.api.ClusterSpec.dedup)",
-    )
     def __init__(
         self,
         *,
@@ -131,9 +124,7 @@ class DedupEngine:
         #: Shared observability registry; the cluster passes its own so
         #: engine, storage, and replication metrics export together.
         self.registry = registry if registry is not None else MetricsRegistry()
-        chunker = ContentDefinedChunker(
-            avg_size=self.config.chunk_size, impl=self.config.chunker_impl
-        )
+        chunker = ContentDefinedChunker(avg_size=self.config.chunk_size)
         self.extractor = SketchExtractor(
             chunker=chunker, top_k=self.config.top_k, seed=self.config.murmur_seed
         )
@@ -179,8 +170,6 @@ class DedupEngine:
         #: Per-logical-database statistics (savings samples only kept
         #: globally, to bound memory).
         self.database_stats: dict[str, DedupStats] = {}
-        #: The effective index configuration (flat knobs already folded).
-        self.index_spec = self.config.resolved_index()
         self._indexes: dict[str, FeatureIndex] = {}
         #: Simulated CPU spent on tier maintenance (demotions/promotions),
         #: charged as background work via :meth:`charge_index_maintenance`.
@@ -439,15 +428,11 @@ class DedupEngine:
             "chunker_bytes_scanned_total",
             "Bytes pushed through the CDC gear hash, per chunker lane",
             ("impl",),
-        ), lambda: {
-            (impl,): float(count)
-            for impl, count in chunker.bytes_scanned.items()
-            if count
-        }
-        yield reg.counter(
-            "chunker_skip_bytes_total",
-            "Bytes the scalar chunker lane skipped past min-chunk regions",
-        ), lambda: {(): float(chunker.bytes_skipped)}
+        ), lambda: (
+            {("vectorized",): float(chunker.bytes_scanned)}
+            if chunker.bytes_scanned
+            else {}
+        )
         yield reg.gauge(
             "size_filter_threshold_bytes",
             "Adaptive size filter cut-off per database", label,
@@ -525,7 +510,7 @@ class DedupEngine:
         """The database's feature-index partition (created on demand)."""
         index = self._indexes.get(database)
         if index is None:
-            index = build_index(self.index_spec)
+            index = build_index(self.config.index)
             self._indexes[database] = index
         return index
 

@@ -49,8 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
 #: The label value keeps the historical "governor_bypass" spelling so
 #: exported metrics stay comparable across versions.
 DROP_GOVERNOR = "governor_bypass"
-#: Preferred alias under the admission-control terminology.
-DROP_BYPASS = DROP_GOVERNOR
 #: The record is below the adaptive size filter's cut-off (§3.4.2).
 DROP_SIZE_FILTER = "size_filtered"
 #: The index returned no usable candidate (or only the record itself).
@@ -239,10 +237,6 @@ class AdmissionGate(_StageBase):
             self.engine.stats.note_bypass()
             self.engine.stats_for(ctx.database).note_bypass()
             ctx.drop(self.name, DROP_GOVERNOR)
-
-
-#: Deprecated alias (pre-admission name of the stage class).
-GovernorGate = AdmissionGate
 
 
 class SizeFilterGate(_StageBase):

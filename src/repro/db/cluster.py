@@ -33,7 +33,6 @@ from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.network import SimNetwork
-from repro.util.deprecation import positional_shim
 from repro.util.stats import percentile
 from repro.workloads.base import Operation
 
@@ -176,18 +175,10 @@ class RunResult:
 class Cluster:
     """One-primary / N-secondary deployment driven by a client trace.
 
-    Construct with keyword arguments (or :meth:`from_spec` /
-    :func:`repro.api.open_cluster`); the legacy ``Cluster(config, costs)``
-    positional path still works behind a deprecation shim.
+    Construct with keyword arguments, or through :meth:`from_spec` /
+    :func:`repro.api.open_cluster`.
     """
 
-    @positional_shim(
-        ("config", "costs"),
-        "Cluster",
-        "positional Cluster(config, costs) arguments are deprecated; "
-        "pass them by keyword, or build the cluster through "
-        "repro.api.open_cluster(ClusterSpec(...))",
-    )
     def __init__(
         self,
         *,

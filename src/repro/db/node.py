@@ -22,7 +22,6 @@ from repro.obs.tracing import NULL_TRACER, Tracer, TracingObserver
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
-from repro.util.deprecation import positional_shim
 
 
 def _physical_store(page_size: int, block_compressor, disk: SimDisk):
@@ -53,7 +52,9 @@ def _node_collectors(node):
         family = getattr(registry, kind)(name, help_text, label)
         return family, lambda: {key: float(make())}
 
-    disk = lambda attr: (lambda: getattr(node.db.disk, attr))
+    def disk(attr):
+        return lambda: getattr(node.db.disk, attr)
+
     yield export(disk("reads"), "disk_reads_total", "Simulated disk read requests")
     yield export(disk("writes"), "disk_writes_total", "Simulated disk write requests")
     yield export(disk("bytes_read"), "disk_bytes_read_total", "Bytes read from disk")
@@ -66,7 +67,9 @@ def _node_collectors(node):
         "Outstanding disk requests", kind="gauge",
     )
 
-    wb = lambda attr: (lambda: getattr(node.db.writeback_cache, attr))
+    def wb(attr):
+        return lambda: getattr(node.db.writeback_cache, attr)
+
     yield export(
         wb("flushed"), "writeback_cache_flushed_total",
         "Write-back entries applied to storage",
@@ -88,7 +91,9 @@ def _node_collectors(node):
         "Bytes held by pending write-back entries", kind="gauge",
     )
 
-    db = lambda attr: (lambda: getattr(node.db, attr))
+    def db(attr):
+        return lambda: getattr(node.db, attr)
+
     yield export(
         db("writebacks_applied"), "db_writebacks_applied_total",
         "Backward/hop deltas written back to storage",
@@ -130,9 +135,9 @@ def _node_collectors(node):
         "Background CPU consumed off the client critical path",
     )
 
-    pool = lambda attr: (
-        lambda: getattr(getattr(node.db.pages, "pool", None), attr, 0)
-    )
+    def pool(attr):
+        return lambda: getattr(getattr(node.db.pages, "pool", None), attr, 0)
+
     yield export(
         pool("hits"), "bufferpool_hits_total",
         "Buffer-pool page requests served from memory",
@@ -161,7 +166,9 @@ def _node_collectors(node):
     # GC families read through node.gc lazily: restart swaps the
     # collector alongside the database it serves (secondaries have none,
     # so the getattr guard reads 0 there).
-    gc = lambda attr: (lambda: getattr(getattr(node, "gc", None), attr, 0))
+    def gc(attr):
+        return lambda: getattr(getattr(node, "gc", None), attr, 0)
+
     yield export(
         gc("reclaimed_bytes"), "gc_reclaimed_bytes_total",
         "Stored bytes reclaimed by applied GC batches",
@@ -208,16 +215,6 @@ def _node_collectors(node):
 class PrimaryNode:
     """Write-serving node with the dbDedup encoder attached."""
 
-    @positional_shim(
-        (
-            "clock", "costs", "config", "dedup_enabled", "block_compressor",
-            "inline_block_compression", "use_writeback_cache", "page_size",
-            "physical_storage", "registry", "tracer", "node_name",
-        ),
-        "PrimaryNode",
-        "positional PrimaryNode(...) arguments are deprecated; pass them "
-        "by keyword (clusters are best built via repro.api.open_cluster)",
-    )
     def __init__(
         self,
         *,
@@ -750,15 +747,6 @@ class PrimaryNode:
 class SecondaryNode:
     """Replica that replays oplog batches through the re-encoder."""
 
-    @positional_shim(
-        (
-            "clock", "costs", "config", "dedup_enabled", "block_compressor",
-            "page_size", "physical_storage", "registry", "tracer", "node_name",
-        ),
-        "SecondaryNode",
-        "positional SecondaryNode(...) arguments are deprecated; pass "
-        "them by keyword (clusters are best built via repro.api.open_cluster)",
-    )
     def __init__(
         self,
         *,

@@ -6,8 +6,6 @@ different speed/strength trade-off (§3.1.1, §4.2):
 * Gear hash — table-driven rolling hash for content-defined chunk
   boundaries (the hot path; one lookup + shift-add per byte, and a
   six-pass numpy sweep in bulk).
-* Rabin fingerprints — the original polynomial rolling hash, retained as
-  a reference primitive.
 * MurmurHash3 — cheap, non-cryptographic chunk identity for the similarity
   sketch (collisions are tolerable because delta compression verifies bytes).
 * Rolling Adler-32 — the block checksum xDelta/dbDelta use to find candidate
@@ -19,15 +17,12 @@ different speed/strength trade-off (§3.1.1, §4.2):
 from repro.hashing.adler import adler32_block, rolling_adler32
 from repro.hashing.gear import GearHasher, gear_hashes, gear_table
 from repro.hashing.murmur import murmur3_32
-from repro.hashing.rabin import RabinHasher, rolling_rabin
 
 __all__ = [
     "murmur3_32",
     "GearHasher",
     "gear_hashes",
     "gear_table",
-    "RabinHasher",
-    "rolling_rabin",
     "adler32_block",
     "rolling_adler32",
 ]

@@ -1,13 +1,10 @@
 """The one index-configuration object the public API accepts.
 
-Before this redesign the feature-index knobs rode as three loose fields
-on :class:`~repro.core.config.DedupConfig` (``index_buckets`` /
-``index_slots`` / ``max_candidates``) and only ever described the
-unbounded cuckoo structure. :class:`IndexSpec` consolidates them and
-adds the memory-bounded tiered variant: a frozen, keyword-only record of
+:class:`IndexSpec` describes both the unbounded cuckoo structure and
+the memory-bounded tiered variant: a frozen, keyword-only record of
 *which* index to build and *how big it may get*, nested as
-``ClusterSpec.index`` (and ``DedupConfig.index``) and consumed by
-:func:`repro.index.tiered.build_index`.
+``DedupConfig.index`` (overridable through ``ClusterSpec.index``) and
+consumed by :func:`repro.index.tiered.build_index`.
 
 This module is deliberately dependency-free (a dataclass and its
 validation, nothing else) so it sits below both :mod:`repro.core` and

@@ -80,9 +80,7 @@ class SketchExtractor:
         over the concatenated batch
         (:meth:`~repro.chunking.cdc.ContentDefinedChunker.boundaries_many`),
         which is markedly cheaper than per-record sweeps when records are
-        small relative to numpy's fixed per-call overhead. Because both
-        chunker lanes emit identical boundaries, the sketches — and every
-        downstream similarity decision — are lane-independent too.
+        small relative to numpy's fixed per-call overhead.
         """
         return [
             self._from_boundaries(data, cuts)

@@ -25,7 +25,7 @@ class TestProfileChains:
         assert profile.raw_fraction == 1.0
 
     def test_encoded_cluster_profile(self):
-        cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+        cluster = Cluster(config=ClusterConfig(dedup=DedupConfig(chunk_size=64)))
         workload = WikipediaWorkload(seed=15, target_bytes=200_000)
         cluster.run(workload.insert_trace())
         profile = profile_chains(cluster.primary.db)
@@ -40,7 +40,7 @@ class TestProfileChains:
 
         def run(encoding):
             cluster = Cluster(
-                ClusterConfig(
+                config=ClusterConfig(
                     dedup=DedupConfig(
                         chunk_size=64, encoding=encoding, hop_distance=4
                     )

@@ -1,22 +1,11 @@
-"""IndexSpec API: nesting, threading, deprecation shims, index_report."""
-
-import warnings
+"""IndexSpec API: nesting, threading, index_report."""
 
 import pytest
 
 from repro.api import ClusterSpec, IndexSpec, open_cluster
 from repro.core.config import DedupConfig
 from repro.index import CuckooFeatureIndex, TieredFeatureIndex
-from repro.util.deprecation import reset_deprecation_warnings
 from repro.workloads import WikipediaWorkload
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    """Each test sees a process that has never warned."""
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestIndexSpecValidation:
@@ -54,7 +43,14 @@ class TestSpecThreading:
         spec = ClusterSpec(index=index)
         config = spec.to_cluster_config()
         assert config.dedup.index is index
-        assert config.dedup.resolved_index() is index
+
+    def test_cluster_spec_none_keeps_dedup_index(self):
+        index = IndexSpec(kind="tiered", hot_bytes_budget=4096)
+        spec = ClusterSpec(dedup=DedupConfig(index=index))
+        assert spec.to_cluster_config().dedup.index is index
+
+    def test_dedup_config_defaults_to_cuckoo_spec(self):
+        assert DedupConfig().index == IndexSpec()
 
     def test_open_cluster_builds_tiered_index(self):
         client = open_cluster(
@@ -71,42 +67,6 @@ class TestSpecThreading:
         assert isinstance(
             client.cluster.primary.engine.index_for("db"), CuckooFeatureIndex
         )
-
-
-class TestFlatKnobDeprecation:
-    def test_flat_knobs_warn_exactly_once_per_process(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DedupConfig(index_buckets=1 << 10).resolved_index()
-            DedupConfig(index_slots=2).resolved_index()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "IndexSpec" in str(deprecations[0].message)
-
-    def test_flat_knobs_still_shape_the_spec(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec = DedupConfig(
-                index_buckets=1 << 10, index_slots=2, max_candidates=3
-            ).resolved_index()
-        assert spec.kind == "cuckoo"
-        assert spec.num_buckets == 1 << 10
-        assert spec.slots_per_bucket == 2
-        assert spec.max_candidates == 3
-
-    def test_defaults_never_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DedupConfig().resolved_index()
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_spec_plus_flat_knob_conflict_raises(self):
-        with pytest.raises(ValueError):
-            DedupConfig(index=IndexSpec(), index_buckets=1 << 10)
 
 
 @pytest.mark.parametrize("shards", [1, 2])

@@ -5,8 +5,6 @@ the harness itself stays runnable and returns well-formed results at the
 smallest viable scale, so a broken experiment fails fast in the unit suite.
 """
 
-import pytest
-
 from repro.bench import experiments as E
 from repro.bench import ablations as A
 

@@ -1,4 +1,4 @@
-"""Content-defined chunking invariants, parametrized over both lanes."""
+"""Content-defined chunking invariants, for the chunker and its scalar oracle."""
 
 import random
 
@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chunking.cdc import (
-    CHUNKER_IMPLS,
-    ContentDefinedChunker,
-    normalized_masks,
-)
+from repro.chunking.cdc import ContentDefinedChunker, normalized_masks
+from repro.chunking.scalar import scalar_boundaries
 from repro.workloads.text import TextGenerator
 
+#: ``chunker_lanes`` keys: the scalar oracle and the production chunker.
 LANES = ("scalar", "vectorized")
 
 
@@ -32,15 +30,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ContentDefinedChunker(avg_size=256, max_size=128)
 
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            ContentDefinedChunker(avg_size=256, impl="simd")
-
-    def test_auto_resolves_to_vectorized(self):
-        chunker = ContentDefinedChunker(avg_size=256, impl="auto")
-        assert chunker.resolved_impl == "vectorized"
-        assert "auto" in CHUNKER_IMPLS
-
     def test_normalized_masks_shape(self):
         strict, loose = normalized_masks(64)
         # avg=2^6: strict spends 8 bits, loose 4 — strict ⊂ loose matches.
@@ -50,36 +39,36 @@ class TestValidation:
 
 @pytest.mark.parametrize("impl", LANES)
 class TestChunking:
-    def test_empty_input(self, impl):
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+    def test_empty_input(self, chunker_lanes, impl):
+        chunker = chunker_lanes[impl](avg_size=256)
         assert chunker.chunks(b"") == []
         assert chunker.boundaries(b"") == []
 
-    def test_concatenation_restores_input(self, impl):
+    def test_concatenation_restores_input(self, chunker_lanes, impl):
         data = random_bytes(20_000)
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=256)
         assert b"".join(c.data for c in chunker.chunks(data)) == data
 
-    def test_chunk_offsets_consistent(self, impl):
+    def test_chunk_offsets_consistent(self, chunker_lanes, impl):
         data = random_bytes(5000, seed=3)
-        for chunk in ContentDefinedChunker(avg_size=128, impl=impl).chunks(data):
+        for chunk in chunker_lanes[impl](avg_size=128).chunks(data):
             assert chunk.data == data[chunk.start : chunk.end]
             assert len(chunk) == chunk.end - chunk.start
 
-    def test_low_entropy_input_hits_max_size(self, impl):
+    def test_low_entropy_input_hits_max_size(self, chunker_lanes, impl):
         # Constant data produces one hash everywhere; the max clamp must
         # force boundaries.
         data = b"\x00" * 10_000
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=256)
         sizes = [len(c) for c in chunker.chunks(data)]
         assert max(sizes) <= chunker.max_size
         assert b"".join(c.data for c in chunker.chunks(data)) == data
 
-    def test_boundary_shift_invariance(self, impl):
+    def test_boundary_shift_invariance(self, chunker_lanes, impl):
         # Prepending data only disturbs chunks near the edit: boundaries in
         # the untouched tail reappear at shifted offsets.
         data = random_bytes(30_000, seed=5)
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=256)
         original = set(chunker.boundaries(data))
         prefix = b"PREFIXPREFIX"
         shifted = set(
@@ -90,15 +79,15 @@ class TestChunking:
         shared = tail & shifted
         assert len(shared) / len(tail) > 0.8
 
-    def test_deterministic(self, impl):
+    def test_deterministic(self, chunker_lanes, impl):
         data = random_bytes(10_000, seed=6)
-        chunker = ContentDefinedChunker(avg_size=512, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=512)
         assert chunker.boundaries(data) == chunker.boundaries(data)
 
     @settings(max_examples=25)
     @given(data=st.binary(min_size=0, max_size=5000))
-    def test_property_partition(self, impl, data):
-        chunker = ContentDefinedChunker(avg_size=64, impl=impl)
+    def test_property_partition(self, chunker_lanes, impl, data):
+        chunker = chunker_lanes[impl](avg_size=64)
         boundaries = chunker.boundaries(data)
         if data:
             assert boundaries[-1] == len(data)
@@ -110,17 +99,17 @@ class TestChunking:
 class TestSizeDistribution:
     """Chunk-size distribution properties, identical across lanes."""
 
-    def test_size_bounds_respected(self, impl):
+    def test_size_bounds_respected(self, chunker_lanes, impl):
         data = random_bytes(50_000, seed=2)
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=256)
         sizes = [len(c) for c in chunker.chunks(data)]
         assert all(s <= chunker.max_size for s in sizes)
         # Every chunk except the last respects the minimum.
         assert all(s >= chunker.min_size for s in sizes[:-1])
 
-    def test_boundaries_strictly_increasing_and_cover(self, impl):
+    def test_boundaries_strictly_increasing_and_cover(self, chunker_lanes, impl):
         data = random_bytes(40_000, seed=8)
-        chunker = ContentDefinedChunker(avg_size=128, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=128)
         cuts = chunker.boundaries(data)
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
         assert cuts[-1] == len(data)
@@ -130,27 +119,27 @@ class TestSizeDistribution:
             a.end == b.start for a, b in zip(chunks, chunks[1:])
         )
 
-    def test_average_size_near_target(self, impl):
+    def test_average_size_near_target(self, chunker_lanes, impl):
         data = random_bytes(200_000, seed=4)
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=256)
         sizes = [len(c) for c in chunker.chunks(data)]
         average = sum(sizes) / len(sizes)
         # Normalized chunking concentrates the distribution around the
         # target; allow generous slack on either side.
         assert 128 < average < 512
 
-    def test_normalization_tightens_spread(self, impl):
+    def test_normalization_tightens_spread(self, chunker_lanes, impl):
         # The strict/loose mask pair should keep most cuts inside
         # [min, 2*avg] on random data — the point of normalized chunking.
         data = random_bytes(200_000, seed=9)
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=256)
         sizes = [len(c) for c in chunker.chunks(data)][:-1]
         inside = sum(1 for s in sizes if s <= 2 * chunker.avg_size)
         assert inside / len(sizes) > 0.9
 
-    def test_text_corpus_mean_near_target(self, impl):
+    def test_text_corpus_mean_near_target(self, chunker_lanes, impl):
         data = TextGenerator(seed=31).document(150_000).encode()
-        chunker = ContentDefinedChunker(avg_size=64, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=64)
         sizes = [len(c) for c in chunker.chunks(data)]
         average = sum(sizes) / len(sizes)
         assert 32 < average < 128
@@ -172,24 +161,24 @@ class TestExactBoundaries:
     COINCIDENT_BLOCK = b"\x00" * 255 + bytes([29])
 
     @pytest.mark.parametrize("impl", LANES)
-    def test_forced_cut_coincides_with_hash_match(self, impl):
-        chunker = ContentDefinedChunker(avg_size=64, impl=impl)
+    def test_forced_cut_coincides_with_hash_match(self, chunker_lanes, impl):
+        chunker = chunker_lanes[impl](avg_size=64)
         assert chunker.boundaries(self.COINCIDENT_BLOCK) == [256]
         chunks = chunker.chunks(self.COINCIDENT_BLOCK)
         assert [len(c) for c in chunks] == [256]
 
     @pytest.mark.parametrize("impl", LANES)
-    def test_forced_cut_coincidence_mid_stream(self, impl):
+    def test_forced_cut_coincidence_mid_stream(self, chunker_lanes, impl):
         data = self.COINCIDENT_BLOCK + random.Random(7).randbytes(400)
-        chunker = ContentDefinedChunker(avg_size=64, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=64)
         assert chunker.boundaries(data) == [
             256, 326, 404, 493, 569, 607, 656,
         ]
 
     @pytest.mark.parametrize("impl", LANES)
-    def test_pinned_text_boundaries(self, impl):
+    def test_pinned_text_boundaries(self, chunker_lanes, impl):
         data = TextGenerator(seed=42).document(3000).encode()
-        chunker = ContentDefinedChunker(avg_size=64, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=64)
         assert chunker.boundaries(data) == [
             99, 152, 250, 269, 343, 430, 504, 521, 614, 639, 711, 801,
             878, 964, 1036, 1120, 1194, 1238, 1317, 1386, 1454, 1503,
@@ -199,9 +188,9 @@ class TestExactBoundaries:
         ]
 
     @pytest.mark.parametrize("impl", LANES)
-    def test_pinned_random_boundaries(self, impl):
+    def test_pinned_random_boundaries(self, chunker_lanes, impl):
         data = random.Random(11).randbytes(2000)
-        chunker = ContentDefinedChunker(avg_size=64, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=64)
         assert chunker.boundaries(data) == [
             36, 105, 148, 239, 306, 378, 451, 520, 587, 654, 699, 779,
             850, 928, 954, 1056, 1123, 1204, 1232, 1302, 1366, 1432,
@@ -209,9 +198,9 @@ class TestExactBoundaries:
         ]
 
     @pytest.mark.parametrize("impl", LANES)
-    def test_pinned_random_boundaries_avg256(self, impl):
+    def test_pinned_random_boundaries_avg256(self, chunker_lanes, impl):
         data = random.Random(11).randbytes(2000)
-        chunker = ContentDefinedChunker(avg_size=256, impl=impl)
+        chunker = chunker_lanes[impl](avg_size=256)
         assert chunker.boundaries(data) == [
             274, 451, 699, 1155, 1412, 1728, 2000,
         ]
@@ -220,21 +209,20 @@ class TestExactBoundaries:
 class TestAccounting:
     def test_scalar_lane_counts_scan_and_skip(self):
         # avg=1024 puts min_size (256) well above the 64-byte gear
-        # window, so skip-ahead has real ground to skip.
+        # window, so the oracle's skip-ahead has real ground to skip.
         data = random_bytes(30_000, seed=12)
-        chunker = ContentDefinedChunker(avg_size=1024, impl="scalar")
-        chunker.boundaries(data)
-        assert chunker.bytes_scanned["scalar"] > 0
-        assert chunker.bytes_scanned["vectorized"] == 0
-        # Skip-ahead means the scalar lane hashes fewer bytes than it
-        # covers; the two tallies account for the whole input.
-        assert chunker.bytes_skipped > 0
-        assert chunker.bytes_scanned["scalar"] + chunker.bytes_skipped == len(data)
+        chunker = ContentDefinedChunker(avg_size=1024)
+        cuts, hashed = scalar_boundaries(
+            data, chunker.min_size, chunker.avg_size, chunker.max_size
+        )
+        assert cuts == chunker.boundaries(data)
+        # Skip-ahead means the oracle hashes fewer bytes than it covers.
+        assert 0 < hashed < len(data)
 
     def test_vectorized_lane_counts_full_scan(self):
         data = random_bytes(30_000, seed=12)
-        chunker = ContentDefinedChunker(avg_size=256, impl="vectorized")
+        chunker = ContentDefinedChunker(avg_size=256)
         chunker.boundaries(data)
-        assert chunker.bytes_scanned["vectorized"] == len(data)
-        assert chunker.bytes_scanned["scalar"] == 0
-        assert chunker.bytes_skipped == 0
+        assert chunker.bytes_scanned == len(data)
+        chunker.boundaries_many([data[:100], b"", data])
+        assert chunker.bytes_scanned == 2 * len(data) + 100

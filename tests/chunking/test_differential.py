@@ -1,7 +1,8 @@
-"""Differential fuzzing: the vectorized chunker lane vs the scalar oracle.
+"""Differential fuzzing: the vectorized chunker vs the scalar oracle.
 
-Every test here asserts the two lanes are *byte-identical* — boundaries,
-chunks, and sketches — across adversarial input families:
+Every test here asserts the chunker is *byte-identical* to
+:func:`repro.chunking.scalar.scalar_boundaries` — boundaries, chunks,
+and sketches — across adversarial input families:
 
 1. runs of a single byte (degenerate hash states),
 2. near-boundary record sizes (min/avg/max edges, off-by-one),
@@ -59,17 +60,18 @@ def _dump_artifact(family: str, data: bytes, geometry) -> Path:
     return path
 
 
-def make_chunkers(geometry):
+def make_chunkers(lanes, geometry):
+    """The (scalar oracle, vectorized) chunker pair for one geometry."""
     avg, lo, hi = geometry
-    return (
-        ContentDefinedChunker(avg, min_size=lo, max_size=hi, impl="scalar"),
-        ContentDefinedChunker(avg, min_size=lo, max_size=hi, impl="vectorized"),
+    return tuple(
+        lanes[lane](avg, min_size=lo, max_size=hi)
+        for lane in ("scalar", "vectorized")
     )
 
 
-def assert_lanes_agree(family: str, data: bytes, geometry=(64, None, None)):
-    """The heart of the suite: scalar ≡ vectorized on one input."""
-    scalar, vector = make_chunkers(geometry)
+def assert_lanes_agree(lanes, family: str, data: bytes, geometry=(64, None, None)):
+    """The heart of the suite: scalar oracle ≡ vectorized on one input."""
+    scalar, vector = make_chunkers(lanes, geometry)
     scalar_cuts = scalar.boundaries(data)
     vector_cuts = vector.boundaries(data)
     if scalar_cuts != vector_cuts:
@@ -78,19 +80,19 @@ def assert_lanes_agree(family: str, data: bytes, geometry=(64, None, None)):
             f"lane mismatch on {family} input (saved to {path}): "
             f"scalar={scalar_cuts[:8]}... vectorized={vector_cuts[:8]}..."
         )
-    # The module-level oracle is the same computation the scalar lane ran.
-    if data:
-        oracle_cuts, _ = scalar_boundaries(
-            data, scalar.min_size, scalar.avg_size, scalar.max_size
-        )
-        assert oracle_cuts == scalar_cuts
+    # Guard the adapter: the scalar lane must be the module-level oracle,
+    # or this suite would compare the chunker with itself.
+    oracle_cuts, _ = scalar_boundaries(
+        data, vector.min_size, vector.avg_size, vector.max_size
+    )
+    assert oracle_cuts == scalar_cuts
     # Chunks carry identical bytes, not just identical offsets.
     assert scalar.chunks(data) == vector.chunks(data)
     return scalar_cuts
 
 
-def assert_sketches_agree(data: bytes, geometry=(64, None, None)):
-    scalar, vector = make_chunkers(geometry)
+def assert_sketches_agree(lanes, data: bytes, geometry=(64, None, None)):
+    scalar, vector = make_chunkers(lanes, geometry)
     a = SketchExtractor(chunker=scalar, top_k=8).sketch(data)
     b = SketchExtractor(chunker=vector, top_k=8).sketch(data)
     assert a == b
@@ -106,9 +108,9 @@ def wiki_corpus() -> bytes:
 class TestDifferentialFamilies:
     @settings(max_examples=40)
     @given(byte=st.integers(0, 255), length=st.integers(0, 2200))
-    def test_single_byte_runs(self, geometry, byte, length):
+    def test_single_byte_runs(self, chunker_lanes, geometry, byte, length):
         data = bytes([byte]) * length
-        assert_lanes_agree("run", data, geometry)
+        assert_lanes_agree(chunker_lanes, "run", data, geometry)
 
     @settings(max_examples=40)
     @given(
@@ -116,8 +118,8 @@ class TestDifferentialFamilies:
         jitter=st.integers(-2, 2),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_near_boundary_sizes(self, geometry, anchor, jitter, seed):
-        scalar, _ = make_chunkers(geometry)
+    def test_near_boundary_sizes(self, chunker_lanes, geometry, anchor, jitter, seed):
+        scalar, _ = make_chunkers(chunker_lanes, geometry)
         base = {
             "min": scalar.min_size,
             "avg": scalar.avg_size,
@@ -126,30 +128,30 @@ class TestDifferentialFamilies:
         }[anchor]
         length = max(0, base + jitter)
         data = random.Random(seed).randbytes(length)
-        assert_lanes_agree("nearsize", data, geometry)
+        assert_lanes_agree(chunker_lanes, "nearsize", data, geometry)
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_shorter_than_min_chunk(self, geometry, seed):
-        scalar, _ = make_chunkers(geometry)
+    def test_shorter_than_min_chunk(self, chunker_lanes, geometry, seed):
+        scalar, _ = make_chunkers(chunker_lanes, geometry)
         rng = random.Random(seed)
         length = rng.randrange(0, max(1, scalar.min_size))
         data = rng.randbytes(length)
-        cuts = assert_lanes_agree("short", data, geometry)
+        cuts = assert_lanes_agree(chunker_lanes, "short", data, geometry)
         assert cuts == ([length] if length else [])
 
     @settings(max_examples=40)
     @given(data=st.binary(min_size=0, max_size=6000))
-    def test_random_binary(self, geometry, data):
-        assert_lanes_agree("binary", data, geometry)
-        assert_sketches_agree(data, geometry)
+    def test_random_binary(self, chunker_lanes, geometry, data):
+        assert_lanes_agree(chunker_lanes, "binary", data, geometry)
+        assert_sketches_agree(chunker_lanes, data, geometry)
 
     @settings(max_examples=40)
     @given(start=st.integers(0, 110_000), length=st.integers(0, 9000))
-    def test_wikipedia_slices(self, geometry, start, length, wiki_corpus):
+    def test_wikipedia_slices(self, chunker_lanes, geometry, start, length, wiki_corpus):
         data = wiki_corpus[start : start + length]
-        assert_lanes_agree("wiki", data, geometry)
-        assert_sketches_agree(data, geometry)
+        assert_lanes_agree(chunker_lanes, "wiki", data, geometry)
+        assert_sketches_agree(chunker_lanes, data, geometry)
 
 
 class TestBatchDifferential:
@@ -157,7 +159,7 @@ class TestBatchDifferential:
     @given(
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=12),
     )
-    def test_boundaries_many_matches_both_lanes(self, seeds):
+    def test_boundaries_many_matches_both_lanes(self, chunker_lanes, seeds):
         rng = random.Random(99)
         datas = []
         for seed in seeds:
@@ -170,17 +172,17 @@ class TestBatchDifferential:
                 datas.append(sub.randbytes(n))
             else:
                 datas.append(rng.randbytes(sub.randrange(0, 40)))
-        scalar, vector = make_chunkers((64, None, None))
+        scalar, vector = make_chunkers(chunker_lanes, (64, None, None))
         batch_scalar = scalar.boundaries_many(datas)
         batch_vector = vector.boundaries_many(datas)
         sequential = [vector.boundaries(d) for d in datas]
         assert batch_scalar == batch_vector == sequential
 
-    def test_sketch_many_lane_equivalence(self, wiki_corpus):
+    def test_sketch_many_lane_equivalence(self, chunker_lanes, wiki_corpus):
         datas = [
             wiki_corpus[i : i + 1500] for i in range(0, 30_000, 1500)
         ] + [b"", b"x", wiki_corpus[:10]]
-        scalar, vector = make_chunkers((64, None, None))
+        scalar, vector = make_chunkers(chunker_lanes, (64, None, None))
         a = SketchExtractor(chunker=scalar, top_k=8).sketch_many(datas)
         b = SketchExtractor(chunker=vector, top_k=8).sketch_many(datas)
         assert a == b
@@ -191,7 +193,7 @@ class ResyncMachine(RuleBasedStateMachine):
 
     The machine keeps one evolving document. Every rule mutates a
     position in the document's first half (replace / insert / delete)
-    and checks, for both lanes:
+    and checks, for the scalar oracle and the chunker:
 
     * boundaries at or before the edit position are unchanged, and
     * past the edit, boundaries realign with the pre-edit boundaries
@@ -200,8 +202,15 @@ class ResyncMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.chunkers = make_chunkers((64, None, None))
+        self.chunker = ContentDefinedChunker(64)
         self.text = TextGenerator(seed=777)
+
+    def oracle_boundaries(self, data: bytes) -> list[int]:
+        chunker = self.chunker
+        cuts, _ = scalar_boundaries(
+            data, chunker.min_size, chunker.avg_size, chunker.max_size
+        )
+        return cuts
 
     @initialize(seed=st.integers(0, 2**16))
     def seed_document(self, seed):
@@ -224,9 +233,13 @@ class ResyncMachine(RuleBasedStateMachine):
             new = doc[:pos] + doc[pos + size:]
         edit_end = pos + (0 if action == "delete" else len(patch))
         delta = len(new) - len(doc)
-        for chunker in self.chunkers:
-            before = chunker.boundaries(doc)
-            after = chunker.boundaries(new)
+        chunker = self.chunker
+        for lane, boundaries in (
+            ("scalar", self.oracle_boundaries),
+            ("vectorized", chunker.boundaries),
+        ):
+            before = boundaries(doc)
+            after = boundaries(new)
             # Locality, upstream: cuts at or before the edit position
             # depend only on bytes before it.
             assert [c for c in before if c <= pos] == [
@@ -240,7 +253,7 @@ class ResyncMachine(RuleBasedStateMachine):
             if runway > 20 * chunker.max_size:
                 assert common, (
                     f"no resynchronization within {runway} bytes "
-                    f"({chunker.resolved_impl} lane)"
+                    f"({lane} lane)"
                 )
             if common:
                 first = common[0]

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.chunking.cdc import ContentDefinedChunker
+from repro.chunking.scalar import scalar_boundaries
 from repro.workloads.edits import revise
 from repro.workloads.text import TextGenerator
 
@@ -45,3 +47,26 @@ def revision_chain(text_gen) -> list[bytes]:
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(7)
+
+
+class OracleChunker(ContentDefinedChunker):
+    """The chunker's surface with every boundary from the scalar oracle.
+
+    Geometry validation and ``chunks()`` are the chunker's own; the cut
+    lists come from :func:`repro.chunking.scalar.scalar_boundaries`,
+    record by record, so tests can hold the production chunker (and the
+    sketches built on it) byte-identical to the reference.
+    """
+
+    def boundaries(self, data: bytes) -> list[int]:
+        cuts, _ = scalar_boundaries(data, self.min_size, self.avg_size, self.max_size)
+        return cuts
+
+    def boundaries_many(self, datas: list[bytes]) -> list[list[int]]:
+        return [self.boundaries(data) for data in datas]
+
+
+@pytest.fixture(scope="session")
+def chunker_lanes() -> dict[str, type[ContentDefinedChunker]]:
+    """Chunker classes by lane: the scalar oracle and the production chunker."""
+    return {"scalar": OracleChunker, "vectorized": ContentDefinedChunker}

@@ -12,7 +12,6 @@ from repro.core.admission import (
     DECISION_INLINE,
     AdmissionController,
 )
-from repro.util.deprecation import reset_deprecation_warnings
 
 
 def make_hybrid(**overrides) -> AdmissionController:
@@ -307,22 +306,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             AdmissionController(**kwargs)
 
-
-class TestDeprecationShim:
-    def test_direct_construction_warns_once(self):
-        from repro.core.governor import DedupGovernor
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="DedupGovernor"):
-            governor = DedupGovernor(threshold=1.2, window=10)
-        assert isinstance(governor, AdmissionController)
-        assert governor.mode == "governor"
-        assert governor.threshold == 1.2
-        assert governor.window == 10
-        # warn-once: the second construction is silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            DedupGovernor()
-        reset_deprecation_warnings()

@@ -1,15 +1,11 @@
 """DedupEngine: the full §3.1 workflow against an in-memory provider."""
 
-import random
-
 import pytest
 
 from repro.core.config import DedupConfig
 from repro.core.engine import DedupEngine
 from repro.delta.decode import apply_delta
 from repro.delta.instructions import deserialize
-from repro.workloads.edits import revise
-from repro.workloads.text import TextGenerator
 
 
 class DictProvider:
@@ -36,7 +32,7 @@ def make_engine(**overrides) -> DedupEngine:
     defaults = dict(chunk_size=64, governor_window=100_000,
                     size_filter_enabled=False)
     defaults.update(overrides)
-    return DedupEngine(DedupConfig(**defaults))
+    return DedupEngine(config=DedupConfig(**defaults))
 
 
 def insert(engine, provider, record_id, content, database="db"):

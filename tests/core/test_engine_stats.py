@@ -1,7 +1,5 @@
 """Per-database engine statistics and the operator summary."""
 
-import random
-
 import pytest
 
 from repro.core.config import DedupConfig
@@ -22,7 +20,7 @@ class DictProvider:
 @pytest.fixture()
 def engine() -> DedupEngine:
     return DedupEngine(
-        DedupConfig(chunk_size=64, size_filter_enabled=False,
+        config=DedupConfig(chunk_size=64, size_filter_enabled=False,
                     governor_window=100)
     )
 
@@ -64,7 +62,7 @@ class TestPerDatabaseStats:
 
     def test_bypassed_counted_per_database(self, rng):
         engine = DedupEngine(
-            DedupConfig(chunk_size=64, size_filter_enabled=False,
+            config=DedupConfig(chunk_size=64, size_filter_enabled=False,
                         governor_window=10)
         )
         provider = DictProvider()
@@ -86,7 +84,7 @@ class TestDescribe:
 
     def test_describe_shows_disabled_governor(self, rng):
         engine = DedupEngine(
-            DedupConfig(chunk_size=64, size_filter_enabled=False,
+            config=DedupConfig(chunk_size=64, size_filter_enabled=False,
                         governor_window=10)
         )
         provider = DictProvider()

@@ -1,68 +1,73 @@
-"""Automatic dedup governor (§3.4.1)."""
+"""Automatic dedup governor (§3.4.1): admission control in governor mode."""
 
 import pytest
 
-from repro.core.governor import DedupGovernor
+from repro.core.admission import AdmissionController
+
+
+def governor(threshold: float = 1.1, window: int = 100_000) -> AdmissionController:
+    """The paper's per-database kill switch, with its §3.4.1 defaults."""
+    return AdmissionController(mode="governor", threshold=threshold, window=window)
 
 
 class TestGovernor:
     def test_enabled_by_default(self):
-        governor = DedupGovernor()
-        assert governor.is_enabled("anything")
+        gov = governor()
+        assert gov.is_enabled("anything")
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            DedupGovernor(threshold=0.5)
+            governor(threshold=0.5)
         with pytest.raises(ValueError):
-            DedupGovernor(window=0)
+            governor(window=0)
 
     def test_disables_low_ratio_database(self):
-        governor = DedupGovernor(threshold=1.1, window=10)
+        gov = governor(threshold=1.1, window=10)
         for _ in range(10):
-            governor.observe("flat", bytes_in=100, bytes_out=100)
-        assert not governor.is_enabled("flat")
-        assert "flat" in governor.disabled_databases
+            gov.observe("flat", bytes_in=100, bytes_out=100)
+        assert not gov.is_enabled("flat")
+        assert "flat" in gov.disabled_databases
 
     def test_keeps_compressing_database(self):
-        governor = DedupGovernor(threshold=1.1, window=10)
+        gov = governor(threshold=1.1, window=10)
         for _ in range(25):
-            assert governor.observe("good", bytes_in=100, bytes_out=10)
-        assert governor.is_enabled("good")
+            assert gov.observe("good", bytes_in=100, bytes_out=10)
+        assert gov.is_enabled("good")
 
     def test_window_resets_after_healthy_evaluation(self):
-        governor = DedupGovernor(threshold=1.1, window=5)
+        gov = governor(threshold=1.1, window=5)
         for _ in range(5):
-            governor.observe("db", 100, 10)
+            gov.observe("db", 100, 10)
         # New window starts clean.
-        assert governor.window_ratio("db") == 1.0
+        assert gov.window_ratio("db") == 1.0
 
     def test_never_reenabled(self):
-        governor = DedupGovernor(threshold=1.1, window=5)
+        gov = governor(threshold=1.1, window=5)
         for _ in range(5):
-            governor.observe("db", 100, 100)
-        assert not governor.is_enabled("db")
+            gov.observe("db", 100, 100)
+        assert not gov.is_enabled("db")
         # Later great ratios change nothing (§3.4.1).
         for _ in range(20):
-            assert not governor.observe("db", 100, 1)
-        assert not governor.is_enabled("db")
+            assert not gov.observe("db", 100, 1)
+        assert not gov.is_enabled("db")
 
     def test_databases_isolated(self):
-        governor = DedupGovernor(threshold=1.1, window=5)
+        gov = governor(threshold=1.1, window=5)
         for _ in range(5):
-            governor.observe("bad", 100, 100)
-            governor.observe("good", 100, 10)
-        assert not governor.is_enabled("bad")
-        assert governor.is_enabled("good")
+            gov.observe("bad", 100, 100)
+            gov.observe("good", 100, 10)
+        assert not gov.is_enabled("bad")
+        assert gov.is_enabled("good")
 
     def test_threshold_boundary(self):
-        governor = DedupGovernor(threshold=1.1, window=4)
+        gov = governor(threshold=1.1, window=4)
         # Exactly 1.1 stays enabled (disable requires ratio < threshold).
         for _ in range(4):
-            governor.observe("edge", 110, 100)
-        assert governor.is_enabled("edge")
+            gov.observe("edge", 110, 100)
+        assert gov.is_enabled("edge")
 
     def test_window_ratio_reporting(self):
-        governor = DedupGovernor(window=100)
-        governor.observe("db", 200, 50)
-        assert governor.window_ratio("db") == pytest.approx(4.0)
-        assert governor.window_ratio("unknown") == 1.0
+        gov = governor(window=100)
+        gov.observe("db", 200, 50)
+        assert gov.window_ratio("db") == pytest.approx(4.0)
+        assert gov.window_ratio("unknown") == 1.0

@@ -2,10 +2,7 @@
 
 import random
 
-import pytest
-
 from repro.core.config import DedupConfig
-from repro.core.maintenance import BackgroundCompactor
 from repro.db.cluster import Cluster, ClusterConfig
 from repro.db.record import RecordForm
 from repro.workloads.base import Operation
@@ -22,7 +19,7 @@ def forked_cluster():
     the cluster and then check for raw orphans generically.
     """
     cluster = Cluster(
-        ClusterConfig(
+        config=ClusterConfig(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False)
         )
     )
@@ -107,7 +104,7 @@ class TestCompaction:
                 )
 
     def test_compaction_on_dedup_disabled_node(self):
-        cluster = Cluster(ClusterConfig(dedup_enabled=False))
+        cluster = Cluster(config=ClusterConfig(dedup_enabled=False))
         cluster.execute(Operation("insert", "db", "r", b"data " * 50))
         assert cluster.primary.compact_storage() is None
 
@@ -125,7 +122,7 @@ class TestMutualOrphanSafety:
         """Two raw records most similar to each other must not end up
         encoding against one another."""
         cluster = Cluster(
-            ClusterConfig(
+            config=ClusterConfig(
                 dedup=DedupConfig(
                     chunk_size=64, size_filter_enabled=False,
                     min_savings_ratio=0.99,
@@ -143,7 +140,7 @@ class TestMutualOrphanSafety:
         db = cluster.primary.db
         db.writeback_cache.drain()
         # Both raw now (any queued delta was drained without applying).
-        report = cluster.primary.compact_storage()
+        cluster.primary.compact_storage()
         db.drain_writebacks()
         for record_id, expected in (("a", base.encode()), ("b", twin.encode())):
             content, _ = cluster.primary.read("db", record_id)

@@ -1,7 +1,5 @@
 """WritebackPlanner: chain plumbing, hop-base caching, fetch fallbacks."""
 
-import pytest
-
 from repro.core.config import DedupConfig
 from repro.core.planner import CpuMeter, WritebackPlanner
 from repro.delta.decode import apply_delta

@@ -13,7 +13,7 @@ def run_cluster(batch_compression: str, dedup_enabled: bool = True):
         dedup_enabled=dedup_enabled,
         batch_compression=batch_compression,
     )
-    cluster = Cluster(config)
+    cluster = Cluster(config=config)
     workload = WikipediaWorkload(seed=41, target_bytes=200_000)
     result = cluster.run(workload.insert_trace())
     return cluster, result
@@ -42,4 +42,4 @@ class TestBatchCompression:
 
     def test_unknown_compressor_rejected(self):
         with pytest.raises(ValueError):
-            Cluster(ClusterConfig(batch_compression="lzma"))
+            Cluster(config=ClusterConfig(batch_compression="lzma"))

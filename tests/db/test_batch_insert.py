@@ -47,7 +47,7 @@ class TestClusterBatchPath:
         clusters = []
         for size in (1, batch_size):
             cluster = Cluster(
-                ClusterConfig(
+                config=ClusterConfig(
                     dedup=DedupConfig(chunk_size=64),
                     insert_batch_size=size,
                 )
@@ -71,7 +71,7 @@ class TestClusterBatchPath:
 
     def test_mixed_trace_flushes_before_reads(self):
         cluster = Cluster(
-            ClusterConfig(
+            config=ClusterConfig(
                 dedup=DedupConfig(chunk_size=64), insert_batch_size=32
             )
         )

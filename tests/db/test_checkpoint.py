@@ -68,7 +68,7 @@ class TestOplogTruncation:
 
 class TestClusterCheckpoint:
     def test_checkpoint_then_recover(self, tmp_path):
-        cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+        cluster = Cluster(config=ClusterConfig(dedup=DedupConfig(chunk_size=64)))
         workload = WikipediaWorkload(seed=44, target_bytes=120_000)
         ops = list(workload.insert_trace())
         midpoint = len(ops) // 2
@@ -95,7 +95,7 @@ class TestClusterCheckpoint:
 
     def test_checkpoint_respects_lagging_replica(self, tmp_path):
         cluster = Cluster(
-            ClusterConfig(
+            config=ClusterConfig(
                 dedup=DedupConfig(chunk_size=64),
                 num_secondaries=2,
                 oplog_batch_bytes=10_000_000,

@@ -14,7 +14,7 @@ class TestMultiSecondary:
 
     def test_all_secondaries_converge(self):
         cluster = Cluster(
-            ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=3)
+            config=ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=3)
         )
         workload = WikipediaWorkload(seed=71, target_bytes=150_000)
         cluster.run(workload.insert_trace())
@@ -23,7 +23,7 @@ class TestMultiSecondary:
 
     def test_secondaries_store_identically(self):
         cluster = Cluster(
-            ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=2)
+            config=ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=2)
         )
         workload = WikipediaWorkload(seed=71, target_bytes=120_000)
         cluster.run(workload.insert_trace())
@@ -38,7 +38,7 @@ class TestMultiSecondary:
     def test_network_bytes_scale_with_fanout(self):
         def run(n):
             cluster = Cluster(
-                ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=n)
+                config=ClusterConfig(dedup=DedupConfig(chunk_size=64), num_secondaries=n)
             )
             workload = WikipediaWorkload(seed=71, target_bytes=120_000)
             result = cluster.run(workload.insert_trace())
@@ -50,7 +50,7 @@ class TestMultiSecondary:
 
     def test_independent_cursors(self):
         cluster = Cluster(
-            ClusterConfig(
+            config=ClusterConfig(
                 dedup=DedupConfig(chunk_size=64),
                 num_secondaries=2,
                 oplog_batch_bytes=10_000_000,

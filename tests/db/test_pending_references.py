@@ -23,7 +23,7 @@ def scenario():
     import random
 
     cluster = Cluster(
-        ClusterConfig(dedup=DedupConfig(chunk_size=64, size_filter_enabled=False))
+        config=ClusterConfig(dedup=DedupConfig(chunk_size=64, size_filter_enabled=False))
     )
     rng = random.Random(3)
     text_gen = TextGenerator(seed=3)

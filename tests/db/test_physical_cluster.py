@@ -11,7 +11,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 @pytest.fixture()
 def physical_cluster():
     return Cluster(
-        ClusterConfig(
+        config=ClusterConfig(
             dedup=DedupConfig(chunk_size=64),
             physical_storage=True,
             block_compression="zlib",

@@ -10,7 +10,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 
 def cluster_with(read_preference: str, **kwargs) -> Cluster:
     return Cluster(
-        ClusterConfig(
+        config=ClusterConfig(
             dedup=DedupConfig(chunk_size=64),
             read_preference=read_preference,
             **kwargs,

@@ -12,7 +12,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 
 @pytest.fixture()
 def run_cluster():
-    cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+    cluster = Cluster(config=ClusterConfig(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(seed=61, target_bytes=150_000)
     ops = list(workload.insert_trace())
     for op in ops:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import DedupConfig
 from repro.db.cluster import Cluster, ClusterConfig
 from repro.db.database import Database
-from repro.db.record import RecordForm
 from repro.db.snapshot import (
     dump_database,
     load_database,
@@ -18,7 +17,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 @pytest.fixture()
 def encoded_db():
     """A database with delta chains, a tombstone, and a pending update."""
-    cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+    cluster = Cluster(config=ClusterConfig(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(seed=51, target_bytes=150_000, num_articles=1)
     ops = list(workload.insert_trace())
     for op in ops:

@@ -1,7 +1,5 @@
 """Classic xDelta encoder: correctness and compression quality."""
 
-import random
-
 import pytest
 
 from repro.delta.decode import apply_delta

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.encoding.chain import ReencodeAction
 from repro.encoding.policies import (
     BackwardEncodingPolicy,
     HopEncodingPolicy,

@@ -56,7 +56,7 @@ def test_random_crud_under_faults_preserves_invariants(
     steps, fault_seed, scenario
 ):
     cluster = Cluster(
-        ClusterConfig(
+        config=ClusterConfig(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
             oplog_batch_bytes=4096,
         )

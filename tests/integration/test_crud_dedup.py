@@ -10,7 +10,7 @@ from repro.workloads.wikipedia import WikipediaWorkload
 
 @pytest.fixture()
 def loaded_cluster():
-    cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+    cluster = Cluster(config=ClusterConfig(dedup=DedupConfig(chunk_size=64)))
     workload = WikipediaWorkload(seed=31, target_bytes=150_000, num_articles=1)
     ops = list(workload.insert_trace())
     for op in ops:

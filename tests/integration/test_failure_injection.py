@@ -57,7 +57,7 @@ SCENARIOS = {
 
 def make_cluster() -> Cluster:
     return Cluster(
-        ClusterConfig(
+        config=ClusterConfig(
             dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
             oplog_batch_bytes=4096,
         )

@@ -26,7 +26,7 @@ def _observed_cluster() -> Cluster:
     config = ClusterConfig(
         dedup=DedupConfig(chunk_size=64), oplog_batch_bytes=1
     )
-    return Cluster(config, trace=True, sample_every_ops=5)
+    return Cluster(config=config, trace=True, sample_every_ops=5)
 
 
 def _dedup_friendly_ops(count: int = 12) -> list[Operation]:

@@ -23,7 +23,7 @@ from repro.cache.writeback import WriteBackEntry
 from repro.core.config import DedupConfig
 from repro.db.cluster import Cluster, ClusterConfig
 from repro.db.database import Database
-from repro.db.errors import RecordExists, RecordNotFound
+from repro.db.errors import RecordNotFound
 from repro.db.invariants import check_cluster
 from repro.delta.dbdelta import DeltaCompressor
 from repro.delta.instructions import serialize
@@ -190,7 +190,7 @@ class ClusterFaultMachine(RuleBasedStateMachine):
     @initialize(seed=st.integers(0, 2**16))
     def setup(self, seed) -> None:
         self.cluster = Cluster(
-            ClusterConfig(
+            config=ClusterConfig(
                 dedup=DedupConfig(chunk_size=64, size_filter_enabled=False),
                 oplog_batch_bytes=2048,
             )

@@ -199,7 +199,7 @@ class TestDiskHook:
 
 class TestInstallUninstall:
     def test_install_wires_and_uninstall_unwires(self):
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(config=ClusterConfig())
         plan = FaultPlan(seed=3, rules=[DropBatches(every=2)])
         plan.install(cluster)
         assert cluster.fault_plan is plan
@@ -215,7 +215,7 @@ class TestInstallUninstall:
             assert node.db.disk.interceptor is None
 
     def test_uninstall_is_a_noop_for_foreign_plans(self):
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(config=ClusterConfig())
         installed = FaultPlan(seed=4, rules=[DropBatches(every=2)])
         other = FaultPlan(seed=5, rules=[DropBatches(every=3)])
         installed.install(cluster)
@@ -228,7 +228,7 @@ class TestCrashHook:
     def test_crash_fires_once_at_threshold(self):
         from repro.workloads.base import Operation
 
-        cluster = Cluster(ClusterConfig())
+        cluster = Cluster(config=ClusterConfig())
         plan = FaultPlan(
             seed=6, rules=[CrashNode(node="primary", after_appends=3)]
         )

@@ -74,7 +74,7 @@ class TestDeliveryAccounting:
         from repro.workloads.base import Operation
 
         def run(rules):
-            cluster = Cluster(ClusterConfig(oplog_batch_bytes=2048))
+            cluster = Cluster(config=ClusterConfig(oplog_batch_bytes=2048))
             plan = FaultPlan(seed=3, rules=rules)
             plan.install(cluster)
             content = bytes(range(256)) * 4

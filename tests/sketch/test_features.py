@@ -70,16 +70,12 @@ class TestSimilarityDetection:
 
 
 class TestLaneEquivalence:
-    """Sketches must not depend on which chunker lane computed them."""
+    """Sketches from the scalar oracle's boundaries match the chunker's."""
 
     @pytest.mark.parametrize("impl", ["scalar", "vectorized"])
-    def test_lane_matches_auto(self, impl, document):
-        auto = SketchExtractor(
-            chunker=ContentDefinedChunker(avg_size=64, impl="auto"), top_k=8
-        )
-        lane = SketchExtractor(
-            chunker=ContentDefinedChunker(avg_size=64, impl=impl), top_k=8
-        )
+    def test_lane_matches_auto(self, chunker_lanes, impl, document):
+        auto = SketchExtractor(chunker=ContentDefinedChunker(avg_size=64), top_k=8)
+        lane = SketchExtractor(chunker=chunker_lanes[impl](avg_size=64), top_k=8)
         assert lane.sketch(document) == auto.sketch(document)
 
     def test_sketch_many_matches_sequential(self, text_gen):

@@ -1,7 +1,5 @@
 """Heap file + the Database integration of the physical engine."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,7 +1,5 @@
 """Slotted page layout: inserts, deletes, updates, compaction."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,7 +141,6 @@ class TestSerialization:
 )
 def test_property_page_matches_dict_model(ops):
     """Random insert/update/delete against a dict reference model."""
-    rng = random.Random(0)
     page = SlottedPage(page_size=2048)
     model: dict[int, bytes] = {}  # handle -> data
     slots: dict[int, int] = {}  # handle -> slot

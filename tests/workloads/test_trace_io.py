@@ -48,7 +48,7 @@ class TestRoundTrip:
         save_trace(workload.insert_trace(), path)
 
         def run(trace):
-            cluster = Cluster(ClusterConfig(dedup=DedupConfig(chunk_size=64)))
+            cluster = Cluster(config=ClusterConfig(dedup=DedupConfig(chunk_size=64)))
             return cluster.run(trace)
 
         live = run(WikipediaWorkload(seed=67, target_bytes=80_000).insert_trace())

@@ -34,37 +34,6 @@ BANNED = re.compile(
     r")"
 )
 
-#: Pre-redesign call sites, grandfathered as-is. Shrink only: migrating
-#: one of these to ``repro.api`` removes its line; adding a NEW file
-#: here (or a new import in a file not listed) is a boundary violation.
-#: The §3.4.1 governor is now ``AdmissionController(mode="governor")``;
-#: ``repro.core.governor.DedupGovernor`` survives only as a deprecated
-#: warn-once shim. Code outside ``src/repro`` must not bind it — only
-#: the legacy-semantics tests below may, and this set may never grow.
-GOVERNOR_BANNED = re.compile(
-    r"^\s*("
-    r"from\s+repro\.core\.governor\s+import\b"
-    r"|import\s+repro\.core\.governor\b"
-    r"|from\s+repro(\.core)?\s+import\s+[(\w ,]*\bDedupGovernor\b"
-    r")"
-)
-
-GOVERNOR_ALLOWED = frozenset({
-    "tests/core/test_governor.py",   # pins the legacy governor semantics
-    "tests/core/test_admission.py",  # asserts the deprecation shim warns
-})
-
-#: The flat index knobs on ``DedupConfig`` are deprecated in favour of
-#: ``IndexSpec`` (nested as ``ClusterSpec.index`` / ``DedupConfig.index``).
-#: Code outside ``src/repro`` must not set them; only the test that pins
-#: the warn-once deprecation shim may. ``max_candidates`` stays legal —
-#: it is a first-class ``IndexSpec`` kwarg, not only a flat knob.
-FLAT_INDEX_BANNED = re.compile(r"^\s*\w.*\b(index_buckets|index_slots)\s*=")
-
-FLAT_INDEX_ALLOWED = frozenset({
-    "tests/api/test_index_spec.py",  # asserts the flat-knob shim warns
-})
-
 #: ``IndexSpec`` must be imported from the public surface (``repro.api``
 #: or the ``repro.index`` package root), not from the internal module
 #: that defines it — the spec module's location is an implementation
@@ -75,11 +44,13 @@ INDEX_SPEC_BANNED = re.compile(
 
 INDEX_SPEC_ALLOWED: frozenset[str] = frozenset()
 
+#: Pre-redesign call sites, grandfathered as-is. Shrink only: migrating
+#: one of these to ``repro.api`` removes its line; adding a NEW file
+#: here (or a new import in a file not listed) is a boundary violation.
 ALLOWED = frozenset({
     "benchmarks/test_batch_insert.py",
     "tests/analysis/test_chains.py",
     "tests/api/test_client.py",       # exercises the boundary itself
-    "tests/api/test_deprecation.py",  # asserts the legacy shim warns
     "tests/core/test_engine_rebuild.py",
     "tests/core/test_maintenance.py",
     "tests/db/test_batch_compression.py",
@@ -111,18 +82,6 @@ ALLOWED = frozenset({
 RULES = (
     (BANNED, ALLOWED, "imports internal Cluster (use repro.api.open_cluster)"),
     (
-        GOVERNOR_BANNED,
-        GOVERNOR_ALLOWED,
-        "imports the deprecated governor shim "
-        '(use AdmissionController / admission_mode="governor")',
-    ),
-    (
-        FLAT_INDEX_BANNED,
-        FLAT_INDEX_ALLOWED,
-        "sets a deprecated flat index knob "
-        "(pass index=IndexSpec(...) instead)",
-    ),
-    (
         INDEX_SPEC_BANNED,
         INDEX_SPEC_ALLOWED,
         "imports the internal spec module "
@@ -132,7 +91,7 @@ RULES = (
 
 #: Modules whose *public surface* is frozen, mapped to the exact set of
 #: top-level names they may export. The scalar chunker is the
-#: differential-testing oracle for the vectorized lane: it must stay a
+#: differential-testing oracle for the vectorized chunker: it must stay a
 #: single pure function so nothing can grow to depend on oracle-only
 #: behaviour. Names starting with ``_`` and imports are not surface.
 FROZEN_SURFACES = {
@@ -174,7 +133,7 @@ def find_frozen_surface_violations() -> list[tuple[str, int, str, str]]:
                 relative,
                 0,
                 name,
-                "grows the frozen oracle surface (keep the scalar lane "
+                "grows the frozen oracle surface (keep the scalar oracle "
                 "a single pure function)",
             ))
         for name in sorted(expected - actual):
@@ -220,7 +179,7 @@ def main() -> int:
         )
         return 1
     print(
-        "API boundary clean: no new internal Cluster or governor-shim "
+        "API boundary clean: no new internal Cluster or IndexSpec-module "
         "imports; frozen oracle surface unchanged."
     )
     return 0
